@@ -15,7 +15,8 @@ Artifacts land in the output directory: ``report.csv`` always,
 ``report.md`` for studies, ``energy.svg`` for energy studies,
 ``solution.csv`` (final U and V per node) for simulate.  Every CSV starts
 with a comment line carrying the sha256 of the config file and the
-profile, then a header row.  Exit status is nonzero on I/O errors and on
+profile, then a header row.  Exit status is nonzero on I/O errors, on a
+damping coefficient that leaves its hypotheses (``DampingError``), and on
 acceptance-relevant violations (a stability-bound breach, or an energy
 increase beyond tolerance in an unforced run).
 """
@@ -57,12 +58,12 @@ class ConfigError(ValueError):
 
 _EXPR_KEYS = {"u0", "u1", "f", "lap_u0", "bilap_u0"}
 _INT_KEYS = {"dimension", "J", "J2", "N", "N_fast", "samples"}
-_FLOAT_KEYS = {"T", "cg_tol", "law_p0", "z_max"}
+_FLOAT_KEYS = {"T", "law_p0", "z_max"}
 _LIST_KEYS = {"N_list", "N_list_fast", "J_list", "J_list_fast"}
 
 _SECTION_KEYS = {
     "problem": {"dimension", "u0", "u1", "f", "lap_u0", "bilap_u0", "law", "law_p0"},
-    "grid": {"J", "J2", "cg_tol"},
+    "grid": {"J", "J2", "cg_tol"},  # cg_tol: accepted and ignored
     "time": {"N", "N_fast", "T"},
     "study": {"N_list", "N_list_fast", "J_list", "J_list_fast", "z_max", "samples"},
     "output": {"dir"},
@@ -92,7 +93,6 @@ class RunConfig:
     law_p0: float | None = None
     J: int | None = None
     J2: int | None = None
-    cg_tol: float | None = None
     N: int | None = None
     N_fast: int | None = None
     T: float | None = None
@@ -168,6 +168,12 @@ def load_config(path, command: str | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTION_KEYS[section]:
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+        if key == "cg_tol":
+            print(
+                f"note: {where}: cg_tol is ignored; the 2D step is solved exactly",
+                file=sys.stderr,
+            )
+            continue
         attr = "out_dir" if key == "dir" else key
         setattr(cfg, attr, _convert(key, value, where))
     _validate(cfg, command)
@@ -186,7 +192,7 @@ def _validate(cfg: RunConfig, command: str | None):
         v = getattr(cfg, key)
         if v is not None and v < 1:
             raise ConfigError(f"{name}: {key} must be positive")
-    for key in ("T", "cg_tol", "z_max"):
+    for key in ("T", "z_max"):
         v = getattr(cfg, key)
         if v is not None and v <= 0:
             raise ConfigError(f"{name}: {key} must be positive")
@@ -364,15 +370,12 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
 
         problem = _build_problem(cfg)
         if command in ("temporal-study", "spatial-study"):
-            cg_tol = cfg.cg_tol if cfg.cg_tol is not None else harness.STUDY_CG_TOL
             if command == "temporal-study":
                 report = harness.temporal_study(
-                    problem, cfg.J, n_list, J2=cfg.J2, cg_tol=cg_tol, profile=profile
+                    problem, cfg.J, n_list, J2=cfg.J2, profile=profile
                 )
             else:
-                report = harness.spatial_study(
-                    problem, N, j_list, cg_tol=cg_tol, profile=profile
-                )
+                report = harness.spatial_study(problem, N, j_list, profile=profile)
             (out / "report.csv").write_text(
                 f"# {comment}\n" + harness.report_csv(report), encoding="utf-8"
             )
@@ -388,9 +391,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
             state, records = run(problem, grid, tg)
         else:
             grid = Grid2D(cfg.J, cfg.J2 if cfg.J2 is not None else cfg.J)
-            state, records = run2d(
-                problem, grid, tg, tol=cfg.cg_tol if cfg.cg_tol else 1e-12
-            )
+            state, records = run2d(problem, grid, tg)
         _write_csv(
             out / "report.csv",
             comment,

@@ -10,6 +10,7 @@ coefficient is therefore q = P(||V||_b^2) resp. P(||V||_f^2).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import expr as expr_mod
 from .mesh import grid1d, grid2d, norm
 
 __all__ = [
+    "DampingError",
     "DampingLaw",
     "LawReport",
     "constant_law",
@@ -27,8 +29,13 @@ __all__ = [
     "simpson_1d",
     "simpson_2d",
     "q_coefficient",
+    "q_checked",
     "validate_law",
 ]
+
+
+class DampingError(ValueError):
+    """The damping coefficient left its hypotheses (negative or non-finite)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,7 +45,8 @@ class DampingLaw:
     ``p0`` is the claimed positive lower bound of P and ``lipschitz`` the
     claimed bound on P'; either may be None when unknown (they are
     hypotheses of the stability/convergence statements, not runtime
-    guards -- see :func:`validate_law`).
+    guards -- see :func:`validate_law`).  The steppers only enforce that
+    each q_n is finite and >= 0 (:func:`q_checked`).
     """
 
     name: str
@@ -124,16 +132,34 @@ def simpson_2d(
     return h1 * h2 / 9.0 * s
 
 
-def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
-    """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D."""
+def _z(V: np.ndarray) -> float:
+    """||V||_b^2 in 1D, ||V||_f^2 in 2D: the Simpson integral of V^2."""
     V = np.asarray(V)
     if V.ndim == 1:
         grid = grid1d((V.shape[0] - 1) // 2)
-        z = norm(grid, V, "b") ** 2
-    else:
-        grid = grid2d((V.shape[0] - 1) // 2, (V.shape[1] - 1) // 2)
-        z = norm(grid, V, "f") ** 2
-    return law(z)
+        return norm(grid, V, "b") ** 2
+    grid = grid2d((V.shape[0] - 1) // 2, (V.shape[1] - 1) // 2)
+    return norm(grid, V, "f") ** 2
+
+
+def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
+    """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D."""
+    return law(_z(V))
+
+
+def q_checked(V: np.ndarray, law: DampingLaw, n: int, t: float) -> float:
+    """q_n = :func:`q_coefficient` for a fully discrete step at level n, time t.
+
+    Raises :class:`DampingError` when q_n is negative or non-finite, which
+    voids the scheme's stability (and, for a <= 0, its solvability).
+    """
+    q = q_coefficient(V, law)
+    if not 0.0 <= q < math.inf:
+        raise DampingError(
+            f"damping law {law.name!r} gave q = {q!r} at n = {n}, t = {t:.6g} "
+            f"(z = ||V||^2 = {_z(V):.6g}); q must be finite and >= 0"
+        )
+    return q
 
 
 @dataclasses.dataclass

@@ -31,9 +31,6 @@ __all__ = [
     "report_markdown",
 ]
 
-STUDY_CG_TOL = 1e-13  # iteration error must sit well below the h^4 signal
-
-
 @dataclasses.dataclass
 class ReportRow:
     param: int  # N for temporal studies, J for spatial ones
@@ -59,9 +56,9 @@ def _terminal_1d(problem: Problem1D, J: int, N: int) -> np.ndarray:
     return state.U_curr
 
 
-def _terminal_2d(problem: Problem2D, J: int, J2: int, N: int, cg_tol: float):
+def _terminal_2d(problem: Problem2D, J: int, J2: int, N: int):
     grid = Grid2D(J, J2)
-    state, _ = run2d(problem, grid, TimeGrid(N, problem.T), tol=cg_tol)
+    state, _ = run2d(problem, grid, TimeGrid(N, problem.T))
     return state.U_curr
 
 
@@ -80,7 +77,6 @@ def temporal_study(
     J: int,
     N_list: list[int],
     J2: int | None = None,
-    cg_tol: float = STUDY_CG_TOL,
     profile: str = "paper",
 ) -> ConvergenceReport:
     """Error/order table over the ascending time refinements in ``N_list``.
@@ -97,7 +93,7 @@ def temporal_study(
     def terminal(N):
         if N not in cache:
             if two_d:
-                cache[N] = _terminal_2d(problem, J, J2 or J, N, cg_tol)
+                cache[N] = _terminal_2d(problem, J, J2 or J, N)
             else:
                 cache[N] = _terminal_1d(problem, J, N)
         return cache[N]
@@ -116,7 +112,6 @@ def spatial_study(
     problem,
     N: int,
     J_list: list[int],
-    cg_tol: float = STUDY_CG_TOL,
     profile: str = "paper",
 ) -> ConvergenceReport:
     """Error/order table over the ascending grid refinements in ``J_list``.
@@ -133,7 +128,7 @@ def spatial_study(
     def terminal(J):
         if J not in cache:
             if two_d:
-                cache[J] = _terminal_2d(problem, J, J, N, cg_tol)
+                cache[J] = _terminal_2d(problem, J, J, N)
             else:
                 cache[J] = _terminal_1d(problem, J, N)
         return cache[J]
@@ -158,12 +153,10 @@ def spatial_study(
     )
 
 
-def energy_study(
-    problem, grid, tg: TimeGrid, cg_tol: float = 1e-12
-) -> list[EnergyRecord]:
+def energy_study(problem, grid, tg: TimeGrid) -> list[EnergyRecord]:
     """Single run collecting the energy sequence."""
     if isinstance(problem, Problem2D):
-        _, records = run2d(problem, grid, tg, tol=cg_tol)
+        _, records = run2d(problem, grid, tg)
     else:
         _, records = run(problem, grid, tg)
     return records

@@ -1,4 +1,4 @@
-"""Compact difference operators and the banded/iterative solvers they need.
+"""Compact difference operators and the direct solvers they need.
 
 1D, on grid functions u (length 2J+1, zero boundary):
 
@@ -14,8 +14,12 @@ with matrix a*A^2 + (1/2)*D^2.
     H u = A_x (B_y u)                  with B the y-direction compact average
     Phi u = B_y (Dx u) + A_x (Dy u)
 
-The 2D step operator a*H^2 + (1/2)*Phi^2 is applied matrix-free (banded
-sweeps) and solved by conjugate gradients with a Jacobi preconditioner.
+A, B and D are polynomials in the Dirichlet second difference, so H, Phi
+and the 2D step operator a*H^2 + (1/2)*Phi^2 are all diagonal in the
+tensor sine (DST-I) basis; the 2D step is solved exactly by one forward
+transform, one division by the operator's symbol and one inverse
+transform (a fast direct solver in the sense of Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970, and Swarztrauber, SIAM Rev. 19, 1977).
 """
 from __future__ import annotations
 
@@ -27,10 +31,7 @@ from scipy import linalg as sla
 from .mesh import Grid1D
 
 __all__ = [
-    "Tridiag",
     "StepMatrix1D",
-    "StepOperator2D",
-    "IterationError",
     "apply_A",
     "apply_D",
     "solve_A",
@@ -41,49 +42,6 @@ __all__ = [
     "solve_step_1d",
     "solve_step_2d",
 ]
-
-
-class IterationError(RuntimeError):
-    """Iterative solve hit the iteration cap before reaching tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
-@dataclasses.dataclass
-class Tridiag:
-    """Symmetric-pattern tridiagonal matrix over interior nodes."""
-
-    sub: np.ndarray
-    main: np.ndarray
-    sup: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        return (
-            np.diag(self.main)
-            + np.diag(self.sub, -1)
-            + np.diag(self.sup, 1)
-        )
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = self.main * x
-        out[1:] += self.sub * x[:-1]
-        out[:-1] += self.sup * x[1:]
-        return out
-
-
-def compact_tridiag(m: int) -> Tridiag:
-    """Interior matrix of the compact average A (size m = 2J-1)."""
-    off = np.full(m - 1, 1.0 / 12.0)
-    return Tridiag(off, np.full(m, 10.0 / 12.0), off)
-
-
-def second_diff_tridiag(m: int, h: float) -> Tridiag:
-    """Interior matrix of the second difference D."""
-    off = np.full(m - 1, 1.0 / (h * h))
-    return Tridiag(off, np.full(m, -2.0 / (h * h)), off)
 
 
 # ---------------------------------------------------------------------------
@@ -224,107 +182,41 @@ def solve_H(b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 2D implicit step operator: a*H^2 + (1/2)*Phi^2, solved matrix-free by PCG
+# 2D implicit step: a*H^2 + (1/2)*Phi^2, diagonal in the tensor sine basis
 
-_DIAG_PIECES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_SINE_MODES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _diag_pieces(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """diag(A^2), diag(D^2)*h^4, diag(D A)*h^2 for the interior 1D factors."""
-    cached = _DIAG_PIECES.get(m)
+def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix S over m interior nodes (S = S^T = S^-1),
+    with the eigenvalues mu_k of D and lambda_k of the compact average."""
+    cached = _SINE_MODES.get(m)
     if cached is None:
-        nbr = np.full(m, 2.0)
-        nbr[[0, -1]] = 1.0
-        d_a2 = (10.0 / 12.0) ** 2 + nbr * (1.0 / 12.0) ** 2
-        d_t2 = 4.0 + nbr
-        d_ta = (nbr - 20.0) / 12.0
-        cached = (d_a2, d_t2, d_ta)
-        _DIAG_PIECES[m] = cached
+        h = 1.0 / (m + 1)
+        k = np.arange(1, m + 1)
+        jk = np.outer(k, k) % (2 * (m + 1))  # exact phase reduction
+        S = np.sqrt(2.0 * h) * np.sin(jk * np.pi * h)
+        mu = -(4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
+        lam = 1.0 + (h * h / 12.0) * mu
+        cached = (S, mu, lam)
+        _SINE_MODES[m] = cached
     return cached
 
 
-class StepOperator2D:
-    """Matrix-free application of a*H^2 + (1/2)*Phi^2 with Jacobi diagonal.
+def solve_step_2d(a: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (a*H^2 + (1/2)*Phi^2) u = rhs exactly in the sine basis.
 
-    Symmetric positive definite as a bilinear form for a > 0:
-    H^2 = A^2 (x) B^2 and Phi^2 expand into Kronecker products of SPD
-    one-dimensional factors.
+    Per mode (k, l) the operator's symbol is a*lamH^2 + (1/2)*lamPhi^2 with
+    lamH = lamA_k lamB_l and lamPhi = mu_k lamB_l + lamA_k mu_l; it is
+    positive for a > 0.
     """
-
-    def __init__(self, a: float, shape: tuple[int, int]):
-        if a <= 0:
-            raise ValueError("step operator requires a > 0")
-        self.a = a
-        self.shape = shape
-        h1, h2 = _steps(shape)
-        m1, m2 = shape[0] - 2, shape[1] - 2
-        da1, dt1, dta1 = _diag_pieces(m1)
-        da2, dt2, dta2 = _diag_pieces(m2)
-        dt1 = dt1 / h1 ** 4
-        dta1 = dta1 / h1 ** 2
-        dt2 = dt2 / h2 ** 4
-        dta2 = dta2 / h2 ** 2
-        # diag of Phi^2 = diag(D1^2 x A2^2) + 2 diag(D1 A1 x D2 A2) + diag(A1^2 x D2^2)
-        self.diagonal = a * np.outer(da1, da2) + 0.5 * (
-            np.outer(dt1, da2) + 2.0 * np.outer(dta1, dta2) + np.outer(da1, dt2)
-        )
-        self._buf = np.zeros(shape)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.a * apply_H(apply_H(u)) + 0.5 * apply_Phi(apply_Phi(u))
-
-    def apply_interior(self, x: np.ndarray) -> np.ndarray:
-        buf = self._buf
-        buf[1:-1, 1:-1] = x
-        return self.apply(buf)[1:-1, 1:-1]
-
-
-def solve_step_2d(
-    a: float,
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    x0: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Solve (a*H^2 + (1/2)*Phi^2) u = rhs by Jacobi-preconditioned CG.
-
-    Converged when the relative residual drops to ``tol``.  Raises
-    :class:`IterationError` past the iteration cap (default 10x the
-    interior dimension).
-    """
-    op = StepOperator2D(a, rhs.shape)
-    b = rhs[1:-1, 1:-1]
+    if a <= 0:
+        raise ValueError("2D step requires a > 0")
+    S1, mu1, lam1 = _sine_modes(rhs.shape[0] - 2)
+    S2, mu2, lam2 = _sine_modes(rhs.shape[1] - 2)
+    lam_H = np.outer(lam1, lam2)
+    lam_Phi = np.outer(mu1, lam2) + np.outer(lam1, mu2)
+    symbol = a * lam_H * lam_H + 0.5 * lam_Phi * lam_Phi
     out = np.zeros_like(rhs)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return out
-    x = np.zeros_like(b) if x0 is None else x0[1:-1, 1:-1].copy()
-    r = b - op.apply_interior(x)
-    invdiag = 1.0 / op.diagonal
-    cap = max_iter if max_iter is not None else 10 * b.size
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= tol * bnorm:
-        out[1:-1, 1:-1] = x
-        return out
-    z = r * invdiag
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    for _ in range(cap):
-        ap = op.apply_interior(p)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
-            out[1:-1, 1:-1] = x
-            return out
-        z = r * invdiag
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise IterationError(
-        f"conjugate gradient stalled at relative residual {rnorm / bnorm:.3e} "
-        f"after {cap} iterations (tol {tol:.1e})",
-        residual=rnorm / bnorm,
-        iterations=cap,
-    )
+    out[1:-1, 1:-1] = S1 @ ((S1 @ rhs[1:-1, 1:-1] @ S2) / symbol) @ S2
+    return out

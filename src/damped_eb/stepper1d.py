@@ -122,7 +122,7 @@ def init(problem: Problem1D, grid: Grid1D, tg: TimeGrid) -> StepperState1D:
         V0 = mesh.sample(grid, problem.lap_u0, 0.0)
     else:
         V0 = operators.solve_A(operators.apply_D(U0, h))
-    q0 = damping_mod.q_coefficient(V0, problem.law)
+    q0 = damping_mod.q_checked(V0, problem.law, 0, 0.0)
     if problem.bilap_u0 is not None:
         bilap = mesh.sample(grid, problem.bilap_u0, 0.0)
     else:
@@ -141,7 +141,7 @@ def step(
     """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
     grid = _grid_of(state.U_curr)
     h = grid.h
-    q = damping_mod.q_coefficient(state.V_curr, law)
+    q = damping_mod.q_checked(state.V_curr, law, state.n, state.n * tau)
     a = 1.0 / (tau * tau) + q / (2.0 * tau)
     combo = (
         f_n

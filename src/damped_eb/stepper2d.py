@@ -2,13 +2,12 @@
 
 Mirrors the 1D stepper with the tensor-product operators H and Phi in
 place of A and D, the f-norm inside the damping coefficient
-q_n = P(||V^n||_f^2), and a matrix-free CG solve
+q_n = P(||V^n||_f^2), and one exact solve in the tensor sine basis
 
-    (a H^2 + (1/2) Phi^2) U^{n+1} = rhs,    a = 1/tau^2 + q_n/(2 tau),
+    (a H^2 + (1/2) Phi^2) U^{n+1} = rhs,    a = 1/tau^2 + q_n/(2 tau).
 
-warm-started from the extrapolation 2U^n - U^{n-1}.  V^{n+1} is recovered
-through two tridiagonal sweeps: V^{n+1} = V^{n-1} + H^{-1} Phi (U^{n+1} -
-U^{n-1}).
+V^{n+1} is recovered through two tridiagonal sweeps: V^{n+1} = V^{n-1} +
+H^{-1} Phi (U^{n+1} - U^{n-1}).
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ def init2d(problem: Problem2D, grid: Grid2D, tg: TimeGrid) -> StepperState2D:
         V0 = mesh.sample(grid, problem.lap_u0, 0.0)
     else:
         V0 = operators.solve_H(operators.apply_Phi(U0))
-    q0 = damping_mod.q_coefficient(V0, problem.law)
+    q0 = damping_mod.q_checked(V0, problem.law, 0, 0.0)
     if problem.bilap_u0 is not None:
         bilap = mesh.sample(grid, problem.bilap_u0, 0.0)
     else:
@@ -81,9 +80,8 @@ def step2d(
     f_n: np.ndarray,
     tau: float,
     law: DampingLaw,
-    tol: float = 1e-12,
 ) -> StepperState2D:
-    q = damping_mod.q_coefficient(state.V_curr, law)
+    q = damping_mod.q_checked(state.V_curr, law, state.n, state.n * tau)
     a = 1.0 / (tau * tau) + q / (2.0 * tau)
     combo = (
         f_n
@@ -95,8 +93,7 @@ def step2d(
         - operators.apply_Phi(operators.apply_H(state.V_prev))
         + 0.5 * operators.apply_Phi(operators.apply_Phi(state.U_prev))
     )
-    x0 = 2.0 * state.U_curr - state.U_prev
-    U_next = operators.solve_step_2d(a, rhs, tol=tol, x0=x0)
+    U_next = operators.solve_step_2d(a, rhs)
     V_next = state.V_prev + operators.solve_H(
         operators.apply_Phi(U_next - state.U_prev)
     )
@@ -124,7 +121,6 @@ def run2d(
     grid: Grid2D,
     tg: TimeGrid,
     observers: tuple = (),
-    tol: float = 1e-12,
 ) -> tuple[StepperState2D, list[EnergyRecord]]:
     tau = tg.tau
     state = init2d(problem, grid, tg)
@@ -137,7 +133,7 @@ def run2d(
     fsum = 0.0
     for n in range(1, tg.N + 1):
         f_n = mesh.sample(grid, problem.f, tg.t(n))
-        state = step2d(state, f_n, tau, problem.law, tol=tol)
+        state = step2d(state, f_n, tau, problem.law)
         fsum += mesh.norm(grid, f_n)
         rec = energy2d(state, tau)
         rec.bound = E0 + 2.0 * tau * fsum

@@ -276,3 +276,24 @@ def test_csv_reproducible_2d(tmp_path):
     assert (tmp_path / "a" / "solution.csv").read_bytes() == (
         tmp_path / "b" / "solution.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["-5", "1 - z"])
+def test_negative_damping_law_exits_with_one_error_line(tmp_path, capsys, spec):
+    text = TINY_2D.replace("law = linear", f'law = "{spec}"')
+    path = write_cfg(tmp_path, text.replace("N = 8", "N = 20"))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DampingError:")
+    assert "n = 0, t = 0" in err[0] and "q = -" in err[0]
+
+
+def test_cg_tol_is_accepted_and_ignored(tmp_path, capsys):
+    path = write_cfg(tmp_path, TINY_2D.replace("J = 4", "J = 4\ncg_tol = 1e-9"))
+    cfg = load_config(path, command="simulate")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cg_tol is ignored" in err[0]
+    assert not hasattr(cfg, "cg_tol")
+    assert execute(cfg, out_dir=tmp_path / "out") == 0

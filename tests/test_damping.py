@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from damped_eb import damping, mesh
+from damped_eb import damping, expr, mesh
 from damped_eb.damping import (
     constant_law,
     law_from_spec,
@@ -12,6 +12,8 @@ from damped_eb.damping import (
     sqrt_law,
     validate_law,
 )
+from damped_eb.stepper1d import Problem1D, init, step
+from damped_eb.stepper2d import Problem2D, init2d, step2d
 
 from oracles import random_gridfn_1d, random_gridfn_2d
 
@@ -162,3 +164,29 @@ def test_law_from_spec_expression_in_z():
     law2 = law_from_spec("sqrt(1+z)", p0=1.0)
     assert law2(3.0) == 2.0
     assert law2.p0 == 1.0
+
+
+BAD_LAWS = [
+    law_from_spec("-5"),
+    law_from_spec("1 - z"),
+    damping.DampingLaw("nan", lambda z: np.nan),
+    damping.DampingLaw("inf", lambda z: np.inf),
+]
+STEPPERS = {
+    1: (Problem1D, mesh.Grid1D(4), init, step, "sin(pi*x)"),
+    2: (Problem2D, mesh.Grid2D(4, 4), init2d, step2d, "sin(pi*x)*sin(pi*y)"),
+}
+
+
+@pytest.mark.parametrize("law", BAD_LAWS, ids=lambda law: law.name)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_damping_outside_hypotheses_fails_fast(dim, law):
+    problem_cls, g, init_fn, step_fn, u0 = STEPPERS[dim]
+    tg = mesh.TimeGrid(8, 1.0)
+    zero = expr.parse("0")
+    with pytest.raises(damping.DampingError, match=r"n = 0, t = 0 "):
+        init_fn(problem_cls(expr.parse(u0), zero, zero, law, 1.0), g, tg)
+    good = problem_cls(expr.parse(u0), zero, zero, linear_law(), 1.0)
+    st = init_fn(good, g, tg)
+    with pytest.raises(damping.DampingError, match=r"n = 1, t = 0\.111111 "):
+        step_fn(st, np.zeros(g.shape), tg.tau, law)

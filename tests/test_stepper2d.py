@@ -79,7 +79,7 @@ def test_step2d_matches_dense_block_oracle():
     prob = forced_problem()
     st = init2d(prob, g, tg)
     f1 = mesh.sample(g, prob.f, tg.t(1))
-    st2 = step2d(st, f1, tg.tau, prob.law, tol=1e-13)
+    st2 = step2d(st, f1, tg.tau, prob.law)
     q = damping.q_coefficient(st.V_curr, prob.law)
     U_ref, V_ref = block_step_2d(
         st.U_prev, st.U_curr, st.V_prev, st.V_curr, f1, tg.tau, q, g.h1, g.h2
@@ -101,7 +101,7 @@ def test_step2d_residuals_of_coupled_equations():
     for n in range(1, 5):
         f_n = mesh.sample(g, prob.f, tg.t(n))
         q = damping.q_coefficient(st.V_curr, prob.law)
-        new = step2d(st, f_n, tau, prob.law, tol=1e-13)
+        new = step2d(st, f_n, tau, prob.law)
         r1 = (
             H @ ((vec(new.U_curr) - 2 * vec(st.U_curr) + vec(st.U_prev)) / tau**2)
             + q * (H @ ((vec(new.U_curr) - vec(st.U_prev)) / (2 * tau)))
@@ -132,7 +132,7 @@ def test_step2d_anisotropic_grid_residual():
     st = init2d(prob, g, tg)
     f1 = mesh.sample(g, prob.f, tg.t(1))
     q = damping.q_coefficient(st.V_curr, prob.law)
-    new = step2d(st, f1, tau, prob.law, tol=1e-13)
+    new = step2d(st, f1, tau, prob.law)
     r2 = H @ ((vec(new.V_curr) - vec(st.V_prev)) / (2 * tau)) - Phi @ (
         (vec(new.U_curr) - vec(st.U_prev)) / (2 * tau)
     )
