@@ -28,6 +28,7 @@ __all__ = [
     "law_from_spec",
     "simpson_1d",
     "simpson_2d",
+    "laplacian_integral",
     "q_coefficient",
     "q_checked",
     "validate_law",
@@ -132,8 +133,8 @@ def simpson_2d(
     return h1 * h2 / 9.0 * s
 
 
-def _z(V: np.ndarray) -> float:
-    """||V||_b^2 in 1D, ||V||_f^2 in 2D: the Simpson integral of V^2."""
+def laplacian_integral(V: np.ndarray) -> float:
+    """z = ||V||_b^2 in 1D, ||V||_f^2 in 2D: the Simpson integral of V^2."""
     V = np.asarray(V)
     if V.ndim == 1:
         grid = grid1d((V.shape[0] - 1) // 2)
@@ -144,20 +145,20 @@ def _z(V: np.ndarray) -> float:
 
 def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
     """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D."""
-    return law(_z(V))
+    return law(laplacian_integral(V))
 
 
-def q_checked(V: np.ndarray, law: DampingLaw, n: int, t: float) -> float:
-    """q_n = :func:`q_coefficient` for a fully discrete step at level n, time t.
+def q_checked(z: float, law: DampingLaw, n: int, t: float) -> float:
+    """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
 
     Raises :class:`DampingError` when q_n is negative or non-finite, which
     voids the scheme's stability (and, for a <= 0, its solvability).
     """
-    q = q_coefficient(V, law)
+    q = law(z)
     if not 0.0 <= q < math.inf:
         raise DampingError(
             f"damping law {law.name!r} gave q = {q!r} at n = {n}, t = {t:.6g} "
-            f"(z = ||V||^2 = {_z(V):.6g}); q must be finite and >= 0"
+            f"(z = ||V||^2 = {z:.6g}); q must be finite and >= 0"
         )
     return q
 

@@ -1,4 +1,4 @@
-"""Compact difference operators and the direct solvers they need.
+"""Compact difference operators, their sine basis and the implicit step solves.
 
 1D, on grid functions u (length 2J+1, zero boundary):
 
@@ -6,8 +6,10 @@
     D u |_j = (u_{j+1} - 2 u_j + u_{j-1}) / h^2      second difference
 
 Both are polynomials in the same Dirichlet tridiagonal matrix, so they
-commute; the implicit time step reduces to one SPD pentadiagonal solve
-with matrix a*A^2 + (1/2)*D^2.
+commute and share its eigenvectors, the sine (DST-I) modes; the 1D step
+matrix a*A^2 + (1/2)*D^2 is diagonal in that basis and is solved on sine
+coefficients.  The stencils and the banded solve of A serve the startup
+and the method-of-lines reference.
 
 2D (tensor products along the two axes):
 
@@ -23,15 +25,12 @@ SIAM J. Numer. Anal. 7, 1970, and Swarztrauber, SIAM Rev. 19, 1977).
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 from scipy import linalg as sla
 
 from .mesh import Grid1D
 
 __all__ = [
-    "StepMatrix1D",
     "apply_A",
     "apply_D",
     "solve_A",
@@ -84,53 +83,45 @@ def solve_A(b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 1D implicit step matrix: a*A^2 + (1/2)*D^2, pentadiagonal SPD for a > 0
+# Sine (DST-I) basis: eigenvectors of A and D, and per axis of H and Phi
 
-@dataclasses.dataclass
-class StepMatrix1D:
-    a: float
-    h: float
-    ab: np.ndarray  # upper banded storage (3, m) for solveh_banded
+_SINE_MODES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-_PENTA_TEMPLATES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix S over m interior nodes (S = S^T = S^-1),
+    with the eigenvalues mu_k of D and lambda_k of the compact average."""
+    cached = _SINE_MODES.get(m)
+    if cached is None:
+        h = 1.0 / (m + 1)
+        k = np.arange(1, m + 1)
+        jk = np.outer(k, k) % (2 * (m + 1))  # exact phase reduction
+        S = np.sqrt(2.0 * h) * np.sin(jk * np.pi * h)
+        mu = -(4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
+        lam = 1.0 + (h * h / 12.0) * mu
+        cached = (S, mu, lam)
+        _SINE_MODES[m] = cached
+    return cached
 
 
-def _penta_templates(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Banded layouts of A^2 and of h^4 * D^2 over the interior (size m)."""
-    cached = _PENTA_TEMPLATES.get(m)
-    if cached is not None:
-        return cached
-    # A^2 = I + (h^2/6) D_scaled + (h^4/144) D_scaled^2 with D_scaled = h^2 D;
-    # written out: main 17/24 (101/144 at the ends), off1 5/36, off2 1/144.
-    a2 = np.zeros((3, m))
-    a2[2, :] = 17.0 / 24.0
-    a2[2, [0, -1]] = 101.0 / 144.0
-    a2[1, 1:] = 5.0 / 36.0
-    a2[0, 2:] = 1.0 / 144.0
-    # (h^2 D)^2: main 6 (5 at the ends), off1 -4, off2 1
-    t2 = np.zeros((3, m))
-    t2[2, :] = 6.0
-    t2[2, [0, -1]] = 5.0
-    t2[1, 1:] = -4.0
-    t2[0, 2:] = 1.0
-    _PENTA_TEMPLATES[m] = (a2, t2)
-    return a2, t2
+# ---------------------------------------------------------------------------
+# 1D implicit step: a*A^2 + (1/2)*D^2, diagonal in the sine basis
+
+def build_step_matrix_1d(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (lambda_k^2, mu_k^2/2) of A^2 and D^2/2 in the sine basis of
+    the grid's interior; the step matrix a*A^2 + D^2/2 is their a-weighted sum."""
+    _, mu, lam = _sine_modes(2 * grid.J - 1)
+    return lam * lam, 0.5 * mu * mu
 
 
-def build_step_matrix_1d(a: float, grid: Grid1D) -> StepMatrix1D:
+def solve_step_1d(
+    matrix: tuple[np.ndarray, np.ndarray], a: float, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve (a*A^2 + D^2/2) u = rhs on sine coefficients (a > 0)."""
     if a <= 0:
         raise ValueError("step matrix requires a > 0")
-    m = 2 * grid.J - 1
-    a2, t2 = _penta_templates(m)
-    h4 = grid.h ** 4
-    return StepMatrix1D(a, grid.h, a * a2 + (0.5 / h4) * t2)
-
-
-def solve_step_1d(matrix: StepMatrix1D, rhs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rhs)
-    out[1:-1] = sla.solveh_banded(matrix.ab, rhs[1:-1], check_finite=False)
-    return out
+    A2, half_D2 = matrix
+    return rhs / (a * A2 + half_D2)
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +174,6 @@ def solve_H(b: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # 2D implicit step: a*H^2 + (1/2)*Phi^2, diagonal in the tensor sine basis
-
-_SINE_MODES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal DST-I matrix S over m interior nodes (S = S^T = S^-1),
-    with the eigenvalues mu_k of D and lambda_k of the compact average."""
-    cached = _SINE_MODES.get(m)
-    if cached is None:
-        h = 1.0 / (m + 1)
-        k = np.arange(1, m + 1)
-        jk = np.outer(k, k) % (2 * (m + 1))  # exact phase reduction
-        S = np.sqrt(2.0 * h) * np.sin(jk * np.pi * h)
-        mu = -(4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
-        lam = 1.0 + (h * h / 12.0) * mu
-        cached = (S, mu, lam)
-        _SINE_MODES[m] = cached
-    return cached
-
 
 def solve_step_2d(a: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*H^2 + (1/2)*Phi^2) u = rhs exactly in the sine basis.

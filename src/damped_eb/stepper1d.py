@@ -12,11 +12,13 @@ vanish on the boundary):
 
 with the nonlocal coefficient q_n = P(||V^n||_b^2).  Eliminating V^{n+1}
 (premultiply the first equation by A and substitute the second; A and D
-commute) leaves one SPD pentadiagonal solve per step,
-
-    (a A^2 + (1/2) D^2) U^{n+1} = rhs,     a = 1/tau^2 + q_n/(2 tau),
-
-after which V^{n+1} = V^{n-1} + A^{-1} D (U^{n+1} - U^{n-1}).
+commute) leaves (a A^2 + D^2/2) U^{n+1} = rhs, a = 1/tau^2 + q_n/(2 tau),
+after which V^{n+1} = V^{n-1} + A^{-1} D (U^{n+1} - U^{n-1}).  A and D are
+diagonal in the sine (DST-I) basis of the interior, so the steps run on
+the sine coefficients (hats) of U and V, elementwise.  So does q_n with
+no inverse transform: interior node j has Simpson weight h (1 - (-1)^j/3),
+and (-1)^j maps mode k to mode m+1-k, so ||V||_b^2 = h (Vh.Vh +
+Vh.Vh[::-1]/3).
 
 Startup: U^0 samples u0; V^0 solves A V^0 = D U^0 (or samples an analytic
 laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
@@ -29,11 +31,12 @@ The module also carries the discrete energy
 which is non-increasing step by step when f = 0, the companion stability
 bound E^n <= E^0 + 2 tau sum ||f^j||, and an RK4 method-of-lines
 integrator for the spatially semi-discrete system, used as an
-independent reference solution.
+independent reference solution (stencils and banded solves only).
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -98,7 +101,6 @@ class EnergyRecord:
 
     n: int
     E: float
-    C_norm: float
     bound: float | None = None
 
 
@@ -122,7 +124,7 @@ def init(problem: Problem1D, grid: Grid1D, tg: TimeGrid) -> StepperState1D:
         V0 = mesh.sample(grid, problem.lap_u0, 0.0)
     else:
         V0 = operators.solve_A(operators.apply_D(U0, h))
-    q0 = damping_mod.q_checked(V0, problem.law, 0, 0.0)
+    q0 = damping_mod.q_checked(damping_mod.laplacian_integral(V0), problem.law, 0, 0.0)
     if problem.bilap_u0 is not None:
         bilap = mesh.sample(grid, problem.bilap_u0, 0.0)
     else:
@@ -135,44 +137,61 @@ def init(problem: Problem1D, grid: Grid1D, tg: TimeGrid) -> StepperState1D:
     return StepperState1D(1, U0, U1, V0, V1, q0)
 
 
+class _SineScheme:
+    """The scheme on the sine coefficients of one grid's interior, step tau;
+    a window is the tuple (Uh^{n-1}, Uh^n, Vh^{n-1}, Vh^n)."""
+
+    def __init__(self, grid: Grid1D, tau: float) -> None:
+        self.S, mu, self.lam = operators._sine_modes(2 * grid.J - 1)
+        self.h, self.tau = grid.h, tau
+        self.matrix = operators.build_step_matrix_1d(grid)
+        self.DA = mu * self.lam  # symbol of D A
+        self.AinvD = mu / self.lam  # symbol of A^{-1} D
+
+    def coefficients(self, state: StepperState1D) -> tuple[np.ndarray, ...]:
+        fields = np.stack((state.U_prev, state.U_curr, state.V_prev, state.V_curr))
+        return tuple(fields[:, 1:-1] @ self.S)
+
+    def state(self, n: int, window, q: float) -> StepperState1D:
+        fields = np.zeros((4, self.S.shape[0] + 2))
+        fields[:, 1:-1] = np.stack(window) @ self.S
+        return StepperState1D(n, *fields, q)
+
+    def advance(self, window, f_hat: np.ndarray, n: int, law: DampingLaw):
+        """Next window and q_n from the window at level n and f^n's coefficients."""
+        U_prev, U, V_prev, V = window
+        z = self.h * (V @ (V + V[::-1] / 3.0))
+        q = damping_mod.q_checked(z, law, n, n * self.tau)
+        r = 1.0 / (self.tau * self.tau)
+        c = q / (2.0 * self.tau)
+        A2, half_D2 = self.matrix
+        combo = f_hat + (2.0 * r) * U - (r - c) * U_prev
+        rhs = A2 * combo - self.DA * V_prev + half_D2 * U_prev
+        U_next = operators.solve_step_1d(self.matrix, r + c, rhs)
+        return (U, U_next, V, V_prev + self.AinvD * (U_next - U_prev)), q
+
+    def energy(self, window) -> float:
+        """E of a window; by Parseval ||A u|| = sqrt(h) * |lambda * uh|."""
+        U_prev, U, V_prev, V = window
+        dU = self.lam * (U - U_prev) / self.tau
+        AV, AV_prev = self.lam * V, self.lam * V_prev
+        return math.sqrt(self.h * (dU @ dU + 0.5 * (AV @ AV + AV_prev @ AV_prev)))
+
+
 def step(
     state: StepperState1D, f_n: np.ndarray, tau: float, law: DampingLaw
 ) -> StepperState1D:
     """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
-    grid = _grid_of(state.U_curr)
-    h = grid.h
-    q = damping_mod.q_checked(state.V_curr, law, state.n, state.n * tau)
-    a = 1.0 / (tau * tau) + q / (2.0 * tau)
-    combo = (
-        f_n
-        + (2.0 / (tau * tau)) * state.U_curr
-        - (1.0 / (tau * tau) - q / (2.0 * tau)) * state.U_prev
-    )
-    rhs = (
-        operators.apply_A(operators.apply_A(combo))
-        - operators.apply_D(operators.apply_A(state.V_prev), h)
-        + 0.5 * operators.apply_D(operators.apply_D(state.U_prev, h), h)
-    )
-    U_next = operators.solve_step_1d(operators.build_step_matrix_1d(a, grid), rhs)
-    V_next = state.V_prev + operators.solve_A(
-        operators.apply_D(U_next - state.U_prev, h)
-    )
-    return StepperState1D(state.n + 1, state.U_curr, U_next, state.V_curr, V_next, q)
+    scheme = _SineScheme(_grid_of(state.U_curr), tau)
+    f_hat = scheme.S @ f_n[1:-1]
+    window, q = scheme.advance(scheme.coefficients(state), f_hat, state.n, law)
+    return scheme.state(state.n + 1, window, q)
 
 
 def energy(state: StepperState1D, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
-    grid = _grid_of(state.U_curr)
-    AdU = operators.apply_A((state.U_curr - state.U_prev) / tau)
-    E = np.sqrt(
-        mesh.norm(grid, AdU) ** 2
-        + 0.5
-        * (
-            mesh.norm(grid, operators.apply_A(state.V_curr)) ** 2
-            + mesh.norm(grid, operators.apply_A(state.V_prev)) ** 2
-        )
-    )
-    return EnergyRecord(state.n - 1, float(E), float(E))
+    scheme = _SineScheme(_grid_of(state.U_curr), tau)
+    return EnergyRecord(state.n - 1, scheme.energy(scheme.coefficients(state)))
 
 
 def run(
@@ -186,26 +205,28 @@ def run(
     Observers are callables invoked with the state after startup and after
     every step.  Returns the final state and one energy record per level,
     each carrying the running stability bound E^0 + 2 tau sum ||f^j||.
+    The steps run on sine coefficients; nodal states are built only for
+    observers and the result.
     """
     tau = tg.tau
     state = init(problem, grid, tg)
-    rec = energy(state, tau)
-    rec.bound = rec.E
-    records = [rec]
+    scheme = _SineScheme(grid, tau)
+    window = scheme.coefficients(state)
+    E0 = scheme.energy(window)
+    records = [EnergyRecord(0, E0, E0)]
     for obs in observers:
         obs(state)
-    E0 = rec.E
     fsum = 0.0
     for n in range(1, tg.N + 1):
-        f_n = mesh.sample(grid, problem.f, tg.t(n))
-        state = step(state, f_n, tau, problem.law)
-        fsum += mesh.norm(grid, f_n)
-        rec = energy(state, tau)
-        rec.bound = E0 + 2.0 * tau * fsum
-        records.append(rec)
-        for obs in observers:
-            obs(state)
-    return state, records
+        f_hat = scheme.S @ mesh.sample(grid, problem.f, tg.t(n))[1:-1]
+        window, q = scheme.advance(window, f_hat, n, problem.law)
+        fsum += math.sqrt(grid.h * (f_hat @ f_hat))
+        records.append(EnergyRecord(n, scheme.energy(window), E0 + 2.0 * tau * fsum))
+        if observers:
+            state = scheme.state(n + 1, window, q)
+            for obs in observers:
+                obs(state)
+    return scheme.state(tg.N + 1, window, q), records
 
 
 def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> StabilityReport:
@@ -213,9 +234,9 @@ def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> Stabilit
     E0 = records[0].E
     slack = tol * (1.0 + E0)
     violations = [
-        (r.n, r.C_norm - r.bound - slack)
+        (r.n, r.E - r.bound - slack)
         for r in records
-        if r.C_norm > r.bound + slack
+        if r.E > r.bound + slack
     ]
     return StabilityReport(not violations, tol, violations)
 

@@ -62,7 +62,7 @@ def init2d(problem: Problem2D, grid: Grid2D, tg: TimeGrid) -> StepperState2D:
         V0 = mesh.sample(grid, problem.lap_u0, 0.0)
     else:
         V0 = operators.solve_H(operators.apply_Phi(U0))
-    q0 = damping_mod.q_checked(V0, problem.law, 0, 0.0)
+    q0 = damping_mod.q_checked(damping_mod.laplacian_integral(V0), problem.law, 0, 0.0)
     if problem.bilap_u0 is not None:
         bilap = mesh.sample(grid, problem.bilap_u0, 0.0)
     else:
@@ -81,7 +81,8 @@ def step2d(
     tau: float,
     law: DampingLaw,
 ) -> StepperState2D:
-    q = damping_mod.q_checked(state.V_curr, law, state.n, state.n * tau)
+    z = damping_mod.laplacian_integral(state.V_curr)
+    q = damping_mod.q_checked(z, law, state.n, state.n * tau)
     a = 1.0 / (tau * tau) + q / (2.0 * tau)
     combo = (
         f_n
@@ -113,7 +114,7 @@ def energy2d(state: StepperState2D, tau: float) -> EnergyRecord:
             + mesh.norm(grid, operators.apply_H(state.V_prev)) ** 2
         )
     )
-    return EnergyRecord(state.n - 1, float(E), float(E))
+    return EnergyRecord(state.n - 1, float(E))
 
 
 def run2d(

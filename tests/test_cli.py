@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -245,6 +247,26 @@ def test_main_entrypoint(tmp_path):
     code = main(["simulate", "--config", str(path), "--out", str(out)])
     assert code == 0
     assert (out / "solution.csv").exists()
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    path = write_cfg(tmp_path, TINY_1D)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "damped_eb.cli", "validate-law", *args]
+        return subprocess.run(
+            cmd, env=env, cwd=tmp_path, capture_output=True, timeout=120
+        )
+
+    done = run("--config", str(path), "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "report.csv").is_file()
+    missing = run("--config", str(tmp_path / "absent.cfg"))
+    assert missing.returncode == 2
+    assert b"not found" in missing.stderr
 
 
 def test_main_rejects_bad_config(tmp_path):
