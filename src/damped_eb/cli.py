@@ -16,9 +16,10 @@ Artifacts land in the output directory: ``report.csv`` always,
 ``solution.csv`` (final U and V per node) for simulate.  Every CSV starts
 with a comment line carrying the sha256 of the config file and the
 profile, then a header row.  Exit status is nonzero on I/O errors, on a
-damping coefficient that leaves its hypotheses (``DampingError``), and on
-acceptance-relevant violations (a stability-bound breach, or an energy
-increase beyond tolerance in an unforced run).
+damping coefficient that leaves its hypotheses or a state that stops being
+finite (``DampingError``), and on acceptance-relevant violations (a
+stability-bound breach, or an energy increase beyond tolerance in an
+unforced run).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from . import expr as expr_mod
 from . import harness
 from .mesh import Grid1D, Grid2D, TimeGrid
 from .stepper1d import Problem1D, run, stability_check
-from .stepper2d import Problem2D, run2d
+from .stepper2d import Problem2D
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "execute", "main", "entry"]
 
@@ -388,10 +389,9 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
         tg = TimeGrid(N, cfg.T)
         if cfg.dimension == 1:
             grid = Grid1D(cfg.J)
-            state, records = run(problem, grid, tg)
         else:
             grid = Grid2D(cfg.J, cfg.J2 if cfg.J2 is not None else cfg.J)
-            state, records = run2d(problem, grid, tg)
+        state, records = run(problem, grid, tg)
         _write_csv(
             out / "report.csv",
             comment,

@@ -28,7 +28,6 @@ __all__ = [
     "law_from_spec",
     "simpson_1d",
     "simpson_2d",
-    "laplacian_integral",
     "q_coefficient",
     "q_checked",
     "validate_law",
@@ -47,7 +46,8 @@ class DampingLaw:
     claimed bound on P'; either may be None when unknown (they are
     hypotheses of the stability/convergence statements, not runtime
     guards -- see :func:`validate_law`).  The steppers only enforce that
-    each q_n is finite and >= 0 (:func:`q_checked`).
+    each z_n = ||V^n||^2 is finite, so P is only evaluated on [0, inf),
+    and that each q_n is finite and >= 0 (:func:`q_checked`).
     """
 
     name: str
@@ -133,32 +133,28 @@ def simpson_2d(
     return h1 * h2 / 9.0 * s
 
 
-def laplacian_integral(V: np.ndarray) -> float:
-    """z = ||V||_b^2 in 1D, ||V||_f^2 in 2D: the Simpson integral of V^2."""
+def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
+    """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D, the norms
+    being the Simpson integrals of V^2."""
     V = np.asarray(V)
     if V.ndim == 1:
-        grid = grid1d((V.shape[0] - 1) // 2)
-        return norm(grid, V, "b") ** 2
-    grid = grid2d((V.shape[0] - 1) // 2, (V.shape[1] - 1) // 2)
-    return norm(grid, V, "f") ** 2
-
-
-def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
-    """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D."""
-    return law(laplacian_integral(V))
+        return law(norm(grid1d((V.shape[0] - 1) // 2), V, "b") ** 2)
+    return law(norm(grid2d((V.shape[0] - 1) // 2, (V.shape[1] - 1) // 2), V, "f") ** 2)
 
 
 def q_checked(z: float, law: DampingLaw, n: int, t: float) -> float:
     """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
 
-    Raises :class:`DampingError` when q_n is negative or non-finite, which
-    voids the scheme's stability (and, for a <= 0, its solvability).
+    Raises :class:`DampingError` when z is non-finite (the state stopped
+    being finite; P is not evaluated) or q_n is negative or non-finite,
+    which voids the scheme's stability (and, for a <= 0, its solvability).
     """
-    q = law(z)
+    q = law(z) if math.isfinite(z) else math.nan
     if not 0.0 <= q < math.inf:
         raise DampingError(
-            f"damping law {law.name!r} gave q = {q!r} at n = {n}, t = {t:.6g} "
-            f"(z = ||V||^2 = {z:.6g}); q must be finite and >= 0"
+            f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
+            f"{law.name!r} and z = ||V||^2 = {z:.6g}; z must be finite, q finite "
+            f"and >= 0"
         )
     return q
 

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from . import mesh
-from .mesh import Grid1D, Grid2D, TimeGrid
-from .stepper1d import EnergyRecord, Problem1D, run
-from .stepper2d import Problem2D, run2d
+from .mesh import Grid, Grid1D, Grid2D, TimeGrid
+from .stepper1d import EnergyRecord, run
+from .stepper2d import Problem2D
 
 __all__ = [
     "ReportRow",
@@ -50,15 +50,14 @@ class ConvergenceReport:
     profile: str = "paper"
 
 
-def _terminal_1d(problem: Problem1D, J: int, N: int) -> np.ndarray:
-    grid = Grid1D(J)
+def _grid(problem, J: int, J2: int | None = None) -> Grid:
+    if isinstance(problem, Problem2D):
+        return Grid2D(J, J2 or J)
+    return Grid1D(J)
+
+
+def _terminal(problem, grid: Grid, N: int) -> np.ndarray:
     state, _ = run(problem, grid, TimeGrid(N, problem.T))
-    return state.U_curr
-
-
-def _terminal_2d(problem: Problem2D, J: int, J2: int, N: int):
-    grid = Grid2D(J, J2)
-    state, _ = run2d(problem, grid, TimeGrid(N, problem.T))
     return state.U_curr
 
 
@@ -86,16 +85,12 @@ def temporal_study(
     """
     if list(N_list) != sorted(N_list) or N_list[0] < 2:
         raise ValueError("N_list must be ascending with N >= 2")
-    two_d = isinstance(problem, Problem2D)
-    grid = Grid2D(J, J2 or J) if two_d else Grid1D(J)
+    grid = _grid(problem, J, J2)
     cache: dict[int, np.ndarray] = {}
 
     def terminal(N):
         if N not in cache:
-            if two_d:
-                cache[N] = _terminal_2d(problem, J, J2 or J, N)
-            else:
-                cache[N] = _terminal_1d(problem, J, N)
+            cache[N] = _terminal(problem, grid, N)
         return cache[N]
 
     errors = [mesh.norm(grid, terminal(N) - terminal(N // 2)) for N in N_list]
@@ -104,7 +99,7 @@ def temporal_study(
         for N, err, order in zip(N_list, errors, _orders(errors))
     ]
     return ConvergenceReport(
-        "temporal", 2 if two_d else 1, problem.law.name, 2.0, rows, profile
+        "temporal", len(grid.shape), problem.law.name, 2.0, rows, profile
     )
 
 
@@ -122,43 +117,33 @@ def spatial_study(
     """
     if list(J_list) != sorted(J_list) or J_list[0] < 4:
         raise ValueError("J_list must be ascending with J >= 4")
-    two_d = isinstance(problem, Problem2D)
     cache: dict[int, np.ndarray] = {}
 
     def terminal(J):
         if J not in cache:
-            if two_d:
-                cache[J] = _terminal_2d(problem, J, J, N)
-            else:
-                cache[J] = _terminal_1d(problem, J, N)
+            cache[J] = _terminal(problem, _grid(problem, J), N)
         return cache[J]
 
+    dimension = terminal(J_list[0]).ndim
+    interior = (slice(1, -1),) * dimension
+    coincident = (slice(2, -2, 2),) * dimension  # fine nodes 2j, coarse interior j
     errors = []
     for J in J_list:
-        fine = terminal(J)
-        coarse = terminal(J // 2)
+        diff = terminal(J // 2)[interior] - terminal(J)[coincident]
         h_row = 1.0 / (2 * J)
-        if two_d:
-            diff = (coarse - fine[::2, ::2])[1:-1, 1:-1]
-            errors.append(h_row * float(np.sqrt(np.sum(diff * diff))))
-        else:
-            diff = (coarse - fine[::2])[1:-1]
-            errors.append(float(np.sqrt(h_row * np.sum(diff * diff))))
+        errors.append(float(np.sqrt(h_row**dimension * np.sum(diff * diff))))
     rows = [
         ReportRow(J, 1.0 / (2 * J), 1.0 / J, err, order)
         for J, err, order in zip(J_list, errors, _orders(errors))
     ]
     return ConvergenceReport(
-        "spatial", 2 if two_d else 1, problem.law.name, 4.0, rows, profile
+        "spatial", dimension, problem.law.name, 4.0, rows, profile
     )
 
 
 def energy_study(problem, grid, tg: TimeGrid) -> list[EnergyRecord]:
     """Single run collecting the energy sequence."""
-    if isinstance(problem, Problem2D):
-        _, records = run2d(problem, grid, tg)
-    else:
-        _, records = run(problem, grid, tg)
+    _, records = run(problem, grid, tg)
     return records
 
 

@@ -5,23 +5,20 @@
     A u |_j = (u_{j+1} + 10 u_j + u_{j-1}) / 12      "compact average"
     D u |_j = (u_{j+1} - 2 u_j + u_{j-1}) / h^2      second difference
 
-Both are polynomials in the same Dirichlet tridiagonal matrix, so they
-commute and share its eigenvectors, the sine (DST-I) modes; the 1D step
-matrix a*A^2 + (1/2)*D^2 is diagonal in that basis and is solved on sine
-coefficients.  The stencils and the banded solve of A serve the startup
-and the method-of-lines reference.
-
 2D (tensor products along the two axes):
 
     H u = A_x (B_y u)                  with B the y-direction compact average
     Phi u = B_y (Dx u) + A_x (Dy u)
 
-A, B and D are polynomials in the Dirichlet second difference, so H, Phi
-and the 2D step operator a*H^2 + (1/2)*Phi^2 are all diagonal in the
-tensor sine (DST-I) basis; the 2D step is solved exactly by one forward
-transform, one division by the operator's symbol and one inverse
-transform (a fast direct solver in the sense of Buzbee, Golub & Nielson,
-SIAM J. Numer. Anal. 7, 1970, and Swarztrauber, SIAM Rev. 19, 1977).
+A, B and D are polynomials in the Dirichlet second difference, so all four
+operators commute and share its eigenvectors, the (tensor) sine (DST-I)
+modes: each acts on sine coefficients as multiplication by its symbol, and
+the step operators a*A^2 + (1/2)*D^2 and a*H^2 + (1/2)*Phi^2 are divided out
+elementwise (a fast direct solver in the sense of Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970, and Swarztrauber, SIAM Rev. 19, 1977).  The
+steppers run on those coefficients through :func:`_sine_symbols`; the
+stencils and the banded solves below are the nodal operators, which the
+method-of-lines reference and the tests use.
 """
 from __future__ import annotations
 
@@ -104,13 +101,26 @@ def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
+def _sine_symbols(ms) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Sine matrices per axis of an interior with ``ms`` nodes per axis, and
+    the symbols (lam, mu): of (A, D) in 1D, of (H, Phi) in 2D, where
+    lamH = lam_1 (x) lam_2 and lamPhi = mu_1 (x) lam_2 + lam_1 (x) mu_2."""
+    modes = [_sine_modes(m) for m in ms]
+    S = [s for s, _, _ in modes]
+    if len(modes) == 1:
+        _, mu, lam = modes[0]
+        return S, lam, mu
+    (_, mu1, lam1), (_, mu2, lam2) = modes
+    return S, np.outer(lam1, lam2), np.outer(mu1, lam2) + np.outer(lam1, mu2)
+
+
 # ---------------------------------------------------------------------------
 # 1D implicit step: a*A^2 + (1/2)*D^2, diagonal in the sine basis
 
 def build_step_matrix_1d(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (lambda_k^2, mu_k^2/2) of A^2 and D^2/2 in the sine basis of
     the grid's interior; the step matrix a*A^2 + D^2/2 is their a-weighted sum."""
-    _, mu, lam = _sine_modes(2 * grid.J - 1)
+    _, lam, mu = _sine_symbols((2 * grid.J - 1,))
     return lam * lam, 0.5 * mu * mu
 
 
@@ -176,18 +186,11 @@ def solve_H(b: np.ndarray) -> np.ndarray:
 # 2D implicit step: a*H^2 + (1/2)*Phi^2, diagonal in the tensor sine basis
 
 def solve_step_2d(a: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (a*H^2 + (1/2)*Phi^2) u = rhs exactly in the sine basis.
-
-    Per mode (k, l) the operator's symbol is a*lamH^2 + (1/2)*lamPhi^2 with
-    lamH = lamA_k lamB_l and lamPhi = mu_k lamB_l + lamA_k mu_l; it is
-    positive for a > 0.
-    """
+    """Solve (a*H^2 + (1/2)*Phi^2) u = rhs exactly in the sine basis; the
+    symbol a*lamH^2 + (1/2)*lamPhi^2 is positive for a > 0."""
     if a <= 0:
         raise ValueError("2D step requires a > 0")
-    S1, mu1, lam1 = _sine_modes(rhs.shape[0] - 2)
-    S2, mu2, lam2 = _sine_modes(rhs.shape[1] - 2)
-    lam_H = np.outer(lam1, lam2)
-    lam_Phi = np.outer(mu1, lam2) + np.outer(lam1, mu2)
+    (S1, S2), lam_H, lam_Phi = _sine_symbols([n - 2 for n in rhs.shape])
     symbol = a * lam_H * lam_H + 0.5 * lam_Phi * lam_Phi
     out = np.zeros_like(rhs)
     out[1:-1, 1:-1] = S1 @ ((S1 @ rhs[1:-1, 1:-1] @ S2) / symbol) @ S2

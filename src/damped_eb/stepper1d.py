@@ -1,26 +1,29 @@
-"""Fully discrete compact scheme for the damped beam equation on (0, 1).
+"""The compact scheme for the damped beam on (0, 1) and plate on (0, 1)^2.
 
-The fourth-order equation u_tt + q(t) u_t + u_xxxx = f is reduced with the
-auxiliary variable v = u_xx and discretized by the implicit two-level
-compact scheme (A = compact average, D = second difference, all fields
-vanish on the boundary):
+The fourth-order equation u_tt + q(t) u_t + Lap^2 u = f is reduced with the
+auxiliary variable v = Lap u and discretized by the implicit two-level
+compact scheme (all fields vanish on the boundary)
 
     A (U^{n+1} - 2U^n + U^{n-1})/tau^2
         + q_n A (U^{n+1} - U^{n-1})/(2 tau)
         + D (V^{n+1} + V^{n-1})/2          = A f^n,
     A (V^{n+1} - V^{n-1})                  = D (U^{n+1} - U^{n-1}),
 
-with the nonlocal coefficient q_n = P(||V^n||_b^2).  Eliminating V^{n+1}
-(premultiply the first equation by A and substitute the second; A and D
-commute) leaves (a A^2 + D^2/2) U^{n+1} = rhs, a = 1/tau^2 + q_n/(2 tau),
-after which V^{n+1} = V^{n-1} + A^{-1} D (U^{n+1} - U^{n-1}).  A and D are
-diagonal in the sine (DST-I) basis of the interior, so the steps run on
-the sine coefficients (hats) of U and V, elementwise.  So does q_n with
-no inverse transform: interior node j has Simpson weight h (1 - (-1)^j/3),
-and (-1)^j maps mode k to mode m+1-k, so ||V||_b^2 = h (Vh.Vh +
-Vh.Vh[::-1]/3).
+with (A, D) the compact average and second difference on a beam and the
+tensor operators (H, Phi) on a plate, and the nonlocal coefficient
+q_n = P(||V^n||^2), the b-norm (1D) resp. f-norm (2D) realizing Simpson's
+rule.  Eliminating V^{n+1} (premultiply the first equation by A and
+substitute the second; A and D commute) leaves (a A^2 + D^2/2) U^{n+1} =
+rhs, a = 1/tau^2 + q_n/(2 tau), after which V^{n+1} = V^{n-1} + A^{-1} D
+(U^{n+1} - U^{n-1}).  Both operators are diagonal in the (tensor) sine
+(DST-I) basis of the interior, so one scheme, whose dimension comes from
+the grid, steps the sine coefficients (hats) of U and V elementwise.  So
+does q_n with no inverse transform: interior node j has Simpson weight
+h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
+so along each axis c -> h (c + flip(c)/3), and ||V||^2 = sum Vh (weighted
+Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 
-Startup: U^0 samples u0; V^0 solves A V^0 = D U^0 (or samples an analytic
+Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
 consistent acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0.
 
@@ -30,8 +33,8 @@ The module also carries the discrete energy
 
 which is non-increasing step by step when f = 0, the companion stability
 bound E^n <= E^0 + 2 tau sum ||f^j||, and an RK4 method-of-lines
-integrator for the spatially semi-discrete system, used as an
-independent reference solution (stencils and banded solves only).
+integrator for the spatially semi-discrete beam, used as an independent
+reference solution (stencils and banded solves only).
 """
 from __future__ import annotations
 
@@ -43,10 +46,11 @@ import numpy as np
 from . import damping as damping_mod
 from . import mesh, operators
 from .damping import DampingLaw
-from .mesh import Grid1D, TimeGrid
+from .mesh import Grid, Grid1D, TimeGrid
 
 __all__ = [
     "Problem1D",
+    "StepperState",
     "StepperState1D",
     "EnergyRecord",
     "StabilityReport",
@@ -84,8 +88,9 @@ class Problem1D:
 
 
 @dataclasses.dataclass
-class StepperState1D:
-    """Sliding two-level window (U^{n-1}, U^n, V^{n-1}, V^n) at index n."""
+class StepperState:
+    """Sliding two-level window (U^{n-1}, U^n, V^{n-1}, V^n) at index n,
+    as nodal fields on a 1D or 2D grid."""
 
     n: int
     U_prev: np.ndarray
@@ -93,6 +98,9 @@ class StepperState1D:
     V_prev: np.ndarray
     V_curr: np.ndarray
     q_curr: float
+
+
+StepperState1D = StepperState
 
 
 @dataclasses.dataclass
@@ -111,116 +119,151 @@ class StabilityReport:
     violations: list[tuple[int, float]]  # (index, excess above the bound)
 
 
-def _grid_of(u: np.ndarray) -> Grid1D:
-    return mesh.grid1d((u.shape[0] - 1) // 2)
-
-
-def init(problem: Problem1D, grid: Grid1D, tg: TimeGrid) -> StepperState1D:
-    """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
-    tau = tg.tau
-    h = grid.h
-    U0 = mesh.sample(grid, problem.u0, 0.0)
-    if problem.lap_u0 is not None:
-        V0 = mesh.sample(grid, problem.lap_u0, 0.0)
-    else:
-        V0 = operators.solve_A(operators.apply_D(U0, h))
-    q0 = damping_mod.q_checked(damping_mod.laplacian_integral(V0), problem.law, 0, 0.0)
-    if problem.bilap_u0 is not None:
-        bilap = mesh.sample(grid, problem.bilap_u0, 0.0)
-    else:
-        bilap = operators.solve_A(operators.apply_D(V0, h))
-    u1s = mesh.sample(grid, problem.u1, 0.0)
-    f0 = mesh.sample(grid, problem.f, 0.0)
-    u2 = -q0 * u1s - bilap + f0
-    U1 = U0 + tau * u1s + 0.5 * tau * tau * u2
-    V1 = operators.solve_A(operators.apply_D(U1, h))
-    return StepperState1D(1, U0, U1, V0, V1, q0)
-
-
 class _SineScheme:
-    """The scheme on the sine coefficients of one grid's interior, step tau;
-    a window is the tuple (Uh^{n-1}, Uh^n, Vh^{n-1}, Vh^n)."""
+    """The scheme on the sine coefficients of one grid's interior, step tau.
 
-    def __init__(self, grid: Grid1D, tau: float) -> None:
-        self.S, mu, self.lam = operators._sine_modes(2 * grid.J - 1)
-        self.h, self.tau = grid.h, tau
-        self.matrix = operators.build_step_matrix_1d(grid)
-        self.DA = mu * self.lam  # symbol of D A
-        self.AinvD = mu / self.lam  # symbol of A^{-1} D
+    The grid's dimension picks the symbols (lam, mu): of (A, D) on a beam,
+    of (H, Phi) on a plate.  A window is the tuple (Uh^{n-1}, Uh^n,
+    Vh^{n-1}, Vh^n).
+    """
 
-    def coefficients(self, state: StepperState1D) -> tuple[np.ndarray, ...]:
+    def __init__(self, grid: Grid, tau: float) -> None:
+        shape = grid.shape
+        self.grid, self.tau = grid, tau
+        self.S, lam, mu = operators._sine_symbols([n - 2 for n in shape])
+        self.cell = math.prod(1.0 / (n - 1) for n in shape)  # h resp. h1*h2
+        self.interior = (Ellipsis,) + (slice(1, -1),) * len(shape)
+        self.flips = [
+            (Ellipsis, slice(None, None, -1)) + (slice(None),) * k
+            for k in range(len(shape))
+        ]
+        self.lam, self.lam2, self.half_mu2 = lam, lam * lam, 0.5 * mu * mu
+        self.DA = mu * lam  # symbol of D A
+        self.AinvD = mu / lam  # symbol of A^{-1} D
+
+    def sine(self, x: np.ndarray) -> np.ndarray:
+        """Sine transform (its own inverse) along each spatial (trailing) axis."""
+        x = x @ self.S[-1]
+        return self.S[0] @ x if len(self.S) == 2 else x
+
+    def sample(self, f, t: float) -> np.ndarray:
+        """Sine coefficients of ``f`` sampled at time t."""
+        return self.sine(mesh.sample(self.grid, f, t)[self.interior])
+
+    def coefficients(self, state: StepperState) -> tuple[np.ndarray, ...]:
         fields = np.stack((state.U_prev, state.U_curr, state.V_prev, state.V_curr))
-        return tuple(fields[:, 1:-1] @ self.S)
+        return tuple(self.sine(fields[self.interior]))
 
-    def state(self, n: int, window, q: float) -> StepperState1D:
-        fields = np.zeros((4, self.S.shape[0] + 2))
-        fields[:, 1:-1] = np.stack(window) @ self.S
-        return StepperState1D(n, *fields, q)
+    def state(self, n: int, window, q: float) -> StepperState:
+        fields = np.zeros((4,) + self.grid.shape)
+        fields[self.interior] = self.sine(np.stack(window))
+        return StepperState(n, *fields, q)
+
+    def z(self, V: np.ndarray) -> float:
+        """||V||^2 in the Simpson norm: c -> c + flip(c)/3 along each axis."""
+        w = V
+        for flip in self.flips:
+            w = w + w[flip] / 3.0
+        return self.cell * float(np.vdot(V, w))
+
+    def norm(self, u: np.ndarray) -> float:
+        """l2 norm of the nodal field with coefficients u (Parseval)."""
+        return math.sqrt(self.cell * np.vdot(u, u))
+
+    def start(self, problem) -> tuple[tuple[np.ndarray, ...], float]:
+        """Startup window at n = 1 and q_0."""
+        tau = self.tau
+        U0 = self.sample(problem.u0, 0.0)
+        if problem.lap_u0 is not None:
+            V0 = self.sample(problem.lap_u0, 0.0)
+        else:
+            V0 = self.AinvD * U0
+        q0 = damping_mod.q_checked(self.z(V0), problem.law, 0, 0.0)
+        if problem.bilap_u0 is not None:
+            bilap = self.sample(problem.bilap_u0, 0.0)
+        else:
+            bilap = self.AinvD * V0
+        u1 = self.sample(problem.u1, 0.0)
+        u2 = -q0 * u1 - bilap + self.sample(problem.f, 0.0)
+        U1 = U0 + tau * u1 + 0.5 * tau * tau * u2
+        return (U0, U1, V0, self.AinvD * U1), q0
 
     def advance(self, window, f_hat: np.ndarray, n: int, law: DampingLaw):
         """Next window and q_n from the window at level n and f^n's coefficients."""
         U_prev, U, V_prev, V = window
-        z = self.h * (V @ (V + V[::-1] / 3.0))
-        q = damping_mod.q_checked(z, law, n, n * self.tau)
+        q = damping_mod.q_checked(self.z(V), law, n, n * self.tau)
         r = 1.0 / (self.tau * self.tau)
         c = q / (2.0 * self.tau)
-        A2, half_D2 = self.matrix
         combo = f_hat + (2.0 * r) * U - (r - c) * U_prev
-        rhs = A2 * combo - self.DA * V_prev + half_D2 * U_prev
-        U_next = operators.solve_step_1d(self.matrix, r + c, rhs)
+        rhs = self.lam2 * combo - self.DA * V_prev + self.half_mu2 * U_prev
+        U_next = rhs / ((r + c) * self.lam2 + self.half_mu2)
         return (U, U_next, V, V_prev + self.AinvD * (U_next - U_prev)), q
 
     def energy(self, window) -> float:
-        """E of a window; by Parseval ||A u|| = sqrt(h) * |lambda * uh|."""
+        """E of a window; by Parseval ||A u|| = ||lam * uh||."""
         U_prev, U, V_prev, V = window
         dU = self.lam * (U - U_prev) / self.tau
         AV, AV_prev = self.lam * V, self.lam * V_prev
-        return math.sqrt(self.h * (dU @ dU + 0.5 * (AV @ AV + AV_prev @ AV_prev)))
+        s = np.vdot(dU, dU) + 0.5 * (np.vdot(AV, AV) + np.vdot(AV_prev, AV_prev))
+        return math.sqrt(self.cell * s)
+
+
+def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
+    Js = [(n - 1) // 2 for n in state.U_curr.shape]
+    return _SineScheme(mesh.grid1d(*Js) if len(Js) == 1 else mesh.grid2d(*Js), tau)
+
+
+def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
+    """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
+    scheme = _SineScheme(grid, tg.tau)
+    return scheme.state(1, *scheme.start(problem))
 
 
 def step(
-    state: StepperState1D, f_n: np.ndarray, tau: float, law: DampingLaw
-) -> StepperState1D:
+    state: StepperState, f_n: np.ndarray, tau: float, law: DampingLaw
+) -> StepperState:
     """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
-    scheme = _SineScheme(_grid_of(state.U_curr), tau)
-    f_hat = scheme.S @ f_n[1:-1]
+    scheme = _scheme_of(state, tau)
+    f_hat = scheme.sine(f_n[scheme.interior])
     window, q = scheme.advance(scheme.coefficients(state), f_hat, state.n, law)
     return scheme.state(state.n + 1, window, q)
 
 
-def energy(state: StepperState1D, tau: float) -> EnergyRecord:
+def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
-    scheme = _SineScheme(_grid_of(state.U_curr), tau)
+    scheme = _scheme_of(state, tau)
     return EnergyRecord(state.n - 1, scheme.energy(scheme.coefficients(state)))
 
 
 def run(
-    problem: Problem1D,
-    grid: Grid1D,
+    problem,
+    grid: Grid,
     tg: TimeGrid,
     observers: tuple = (),
-) -> tuple[StepperState1D, list[EnergyRecord]]:
+) -> tuple[StepperState, list[EnergyRecord]]:
     """Initialize and take N steps (ending at U^{N+1}, time T).
 
-    Observers are callables invoked with the state after startup and after
-    every step.  Returns the final state and one energy record per level,
-    each carrying the running stability bound E^0 + 2 tau sum ||f^j||.
-    The steps run on sine coefficients; nodal states are built only for
-    observers and the result.
+    The grid sets the dimension: a ``Grid1D`` runs a beam, a ``Grid2D`` a
+    plate.  Observers are callables invoked with the state after startup
+    and after every step.  Returns the final state and one energy record
+    per level, each carrying the running stability bound
+    E^0 + 2 tau sum ||f^j||.  The steps run on sine coefficients; nodal
+    states are built only for observers and the result.
     """
     tau = tg.tau
-    state = init(problem, grid, tg)
     scheme = _SineScheme(grid, tau)
-    window = scheme.coefficients(state)
+    window, q = scheme.start(problem)
     E0 = scheme.energy(window)
     records = [EnergyRecord(0, E0, E0)]
-    for obs in observers:
-        obs(state)
+    if observers:
+        state = scheme.state(1, window, q)
+        for obs in observers:
+            obs(state)
     fsum = 0.0
     for n in range(1, tg.N + 1):
-        f_hat = scheme.S @ mesh.sample(grid, problem.f, tg.t(n))[1:-1]
+        f_hat = scheme.sample(problem.f, tg.t(n))
         window, q = scheme.advance(window, f_hat, n, problem.law)
-        fsum += math.sqrt(grid.h * (f_hat @ f_hat))
+        fsum += scheme.norm(f_hat)
         records.append(EnergyRecord(n, scheme.energy(window), E0 + 2.0 * tau * fsum))
         if observers:
             state = scheme.state(n + 1, window, q)
@@ -230,13 +273,14 @@ def run(
 
 
 def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> StabilityReport:
-    """Check E^n <= E^0 + 2 tau sum_{j<=n} ||f^j|| + tol*(1 + E^0) at every n."""
+    """Check E^n <= E^0 + 2 tau sum_{j<=n} ||f^j|| + tol*(1 + E^0) at every n;
+    a NaN energy counts as a violation."""
     E0 = records[0].E
     slack = tol * (1.0 + E0)
     violations = [
         (r.n, r.E - r.bound - slack)
         for r in records
-        if r.E > r.bound + slack
+        if not r.E <= r.bound + slack
     ]
     return StabilityReport(not violations, tol, violations)
 

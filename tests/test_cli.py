@@ -319,3 +319,26 @@ def test_cg_tol_is_accepted_and_ignored(tmp_path, capsys):
     assert len(err) == 1 and "cg_tol is ignored" in err[0]
     assert not hasattr(cfg, "cg_tol")
     assert execute(cfg, out_dir=tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize(
+    "name,f",
+    [
+        ("example1_energy.cfg", "1e306*sin(pi*x)"),
+        ("example2_energy.cfg", "1e306*sin(pi*x)*sin(pi*y)"),
+    ],
+)
+def test_non_finite_state_exits_with_one_error_line(tmp_path, capsys, name, f):
+    # a constant law stays finite on any z, so only the guard on z stops the
+    # run once the state overflows (instead of writing inf/nan artifacts)
+    text = bundled(name).read_text(encoding="utf-8")
+    text = text.replace('f = "0"', f'f = "{f}"').replace("law = sqrt", "law = constant")
+    path = write_cfg(tmp_path, text.replace("law = linear", "law = constant"))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out), "--profile", "fast"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DampingError:")
+    assert "z = ||V||^2 = inf" in err[0] or "z = ||V||^2 = nan" in err[0]
+    assert not (out / "solution.csv").exists()

@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from damped_eb import damping, expr, mesh, operators
-from damped_eb.mesh import Grid1D, TimeGrid
+from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
     Problem1D,
     StepperState1D,
@@ -16,8 +16,15 @@ from damped_eb.stepper1d import (
     stability_check,
     step,
 )
+from damped_eb.stepper2d import Problem2D, energy2d, step2d
 
-from oracles import block_step_1d, dense_compact, dense_second_diff, random_gridfn_1d
+from oracles import (
+    block_step_1d,
+    dense_compact,
+    dense_second_diff,
+    random_gridfn_1d,
+    random_gridfn_2d,
+)
 
 
 def forced_problem(law=None):
@@ -38,6 +45,24 @@ def free_problem(law=None):
         law=law or damping.sqrt_law(),
         T=1.0,
     )
+
+
+def forced_plate_problem():
+    return Problem2D(
+        u0=expr.parse("sin(pi*x)*sin(pi*y)"),
+        u1=expr.parse("0"),
+        f=expr.parse("t^3*sin(pi*x)*sin(pi*y)"),
+        law=damping.linear_law(),
+        T=1.0,
+    )
+
+
+# one shared scheme: the grid's dimension picks beam or plate, and the
+# nodal wrappers, energy and A-type operator of that dimension
+DIMENSIONS = {
+    1: (step, energy, operators.apply_A),
+    2: (step2d, energy2d, operators.apply_H),
+}
 
 
 def zero_problem():
@@ -123,40 +148,58 @@ def test_step_matches_dense_block_oracle(J, law, N):
 
 
 @settings(max_examples=60, deadline=None)
-@given(J=strategies.integers(2, 32), seed=strategies.integers(0, 2**32 - 1))
-def test_step_damping_integral_matches_simpson_norm(J, seed):
-    # with P(z) = z the step's q_n is the z it computed from V^n's sine coefficients
-    g = Grid1D(J)
+@given(
+    J1=strategies.integers(2, 32),
+    J2=strategies.integers(2, 8),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+@example(J1=2, J2=3, seed=0)
+@example(J1=8, J2=5, seed=1)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_step_damping_integral_matches_simpson_norm(dim, J1, J2, seed):
+    # with P(z) = z the step's q_n is the z it computed from V^n's sine
+    # coefficients: the b-norm on a beam grid J1, the f-norm on a plate J1 x J2
     rng = np.random.default_rng(seed)
-    fields = [random_gridfn_1d(rng, J) for _ in range(4)]
+    if dim == 1:
+        g, kind = Grid1D(J1), "b"
+        fields = [random_gridfn_1d(rng, J1) for _ in range(4)]
+    else:
+        g, kind = Grid2D(J1, J2), "f"
+        fields = [random_gridfn_2d(rng, J1, J2) for _ in range(4)]
     state = StepperState1D(1, *fields, q_curr=0.0)
     identity = damping.DampingLaw("identity", lambda z: z)
-    new = step(state, np.zeros(g.shape), 0.01, identity)
-    assert new.q_curr == pytest.approx(mesh.norm(g, fields[3], "b") ** 2, rel=1e-13)
+    new = DIMENSIONS[dim][0](state, np.zeros(g.shape), 0.01, identity)
+    assert new.q_curr == pytest.approx(mesh.norm(g, fields[3], kind) ** 2, rel=1e-13)
 
 
-def test_run_observers_and_records_match_nodal_steps():
-    g = Grid1D(8)
+@pytest.mark.parametrize(
+    "g",
+    [Grid1D(8), Grid2D(4, 4), Grid2D(2, 3), Grid2D(8, 5)],
+    ids=["1d-8", "2d-4x4", "2d-2x3", "2d-8x5"],
+)
+def test_run_observers_and_records_match_nodal_steps(g):
     tg = TimeGrid(24, 1.0)
-    prob = forced_problem()
+    dim = len(g.shape)
+    prob = forced_problem() if dim == 1 else forced_plate_problem()
+    step_fn, energy_fn, apply_A = DIMENSIONS[dim]
     observed = []
     final, records = run(prob, g, tg, observers=(observed.append,))
 
     def norm_A(u):
-        return mesh.norm(g, operators.apply_A(u))
+        return mesh.norm(g, apply_A(u))
 
     st = init(prob, g, tg)
     assert len(observed) == len(records) == tg.N + 1
     for n, (seen, rec) in enumerate(zip(observed, records)):
         if n:
-            st = step(st, mesh.sample(g, prob.f, tg.t(n)), tg.tau, prob.law)
+            st = step_fn(st, mesh.sample(g, prob.f, tg.t(n)), tg.tau, prob.law)
         assert seen.n == st.n == n + 1
         for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
             a, b = getattr(seen, name), getattr(st, name)
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
         assert seen.q_curr == pytest.approx(st.q_curr, rel=1e-12)
         assert rec.n == n
-        assert rec.E == pytest.approx(energy(seen, tg.tau).E, rel=1e-13)
+        assert rec.E == pytest.approx(energy_fn(seen, tg.tau).E, rel=1e-13)
         stencil_E = np.sqrt(
             norm_A((seen.U_curr - seen.U_prev) / tg.tau) ** 2
             + 0.5 * (norm_A(seen.V_curr) ** 2 + norm_A(seen.V_prev) ** 2)
@@ -240,11 +283,13 @@ def test_stability_bound_holds_on_forced_run():
 
 
 def test_stability_check_flags_corrupted_record():
-    state, records = run(forced_problem(), Grid1D(8), TimeGrid(50, 1.0))
-    records[20] = dataclasses.replace(records[20], E=2 * records[20].E + 1.0)
-    report = stability_check(records)
-    assert not report.ok
-    assert report.violations[0][0] == 20
+    state, clean = run(forced_problem(), Grid1D(8), TimeGrid(50, 1.0))
+    for corrupted in (2 * clean[20].E + 1.0, np.nan):  # an excess, a NaN energy
+        records = list(clean)
+        records[20] = dataclasses.replace(records[20], E=corrupted)
+        report = stability_check(records)
+        assert not report.ok
+        assert report.violations[0][0] == 20
 
 
 def test_superposition_with_constant_law():
