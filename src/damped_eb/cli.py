@@ -33,8 +33,8 @@ import numpy as np
 
 from . import damping as damping_mod
 from . import expr as expr_mod
-from . import harness
-from .mesh import Grid1D, Grid2D, TimeGrid
+from . import harness, mesh
+from .mesh import TimeGrid
 from .stepper1d import Problem1D, run, stability_check
 from .stepper2d import Problem2D
 
@@ -64,7 +64,7 @@ _LIST_KEYS = {"N_list", "N_list_fast", "J_list", "J_list_fast"}
 
 _SECTION_KEYS = {
     "problem": {"dimension", "u0", "u1", "f", "lap_u0", "bilap_u0", "law", "law_p0"},
-    "grid": {"J", "J2", "cg_tol"},  # cg_tol: accepted and ignored
+    "grid": {"J", "J2"},
     "time": {"N", "N_fast", "T"},
     "study": {"N_list", "N_list_fast", "J_list", "J_list_fast", "z_max", "samples"},
     "output": {"dir"},
@@ -169,12 +169,6 @@ def load_config(path, command: str | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTION_KEYS[section]:
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
-        if key == "cg_tol":
-            print(
-                f"note: {where}: cg_tol is ignored; the 2D step is solved exactly",
-                file=sys.stderr,
-            )
-            continue
         attr = "out_dir" if key == "dir" else key
         setattr(cfg, attr, _convert(key, value, where))
     _validate(cfg, command)
@@ -189,6 +183,11 @@ def _validate(cfg: RunConfig, command: str | None):
         v = getattr(cfg, key)
         if v is not None and v < 2:
             raise ConfigError(f"{name}: {key} must be >= 2")
+    if command == "spatial-study" and cfg.J2 is not None and cfg.J2 != cfg.J:
+        raise ConfigError(
+            f"{name}: J2 = {cfg.J2} differs from J; spatial-study refines "
+            f"square grids (J2 = J = each entry of J_list), so drop J2"
+        )
     for key in ("N", "N_fast", "samples"):
         v = getattr(cfg, key)
         if v is not None and v < 1:
@@ -387,10 +386,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
 
         # simulate / energy-study share the single run
         tg = TimeGrid(N, cfg.T)
-        if cfg.dimension == 1:
-            grid = Grid1D(cfg.J)
-        else:
-            grid = Grid2D(cfg.J, cfg.J2 if cfg.J2 is not None else cfg.J)
+        grid = mesh.grid_for(cfg.dimension, cfg.J, cfg.J2)
         state, records = run(problem, grid, tg)
         _write_csv(
             out / "report.csv",
@@ -416,7 +412,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
                 _energy_svg(records, caption), encoding="utf-8"
             )
         else:
-            _write_solution(out / "solution.csv", comment, cfg.dimension, grid, state)
+            _write_solution(out / "solution.csv", comment, grid, state)
         if problems:
             for p in problems:
                 print(f"error: {p}", file=sys.stderr)
@@ -427,21 +423,15 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
         return 1
 
 
-def _write_solution(path: Path, comment: str, dimension: int, grid, state) -> None:
-    if dimension == 1:
-        rows = [
-            (j, grid.nodes[j], state.U_curr[j], state.V_curr[j])
-            for j in range(grid.shape[0])
-        ]
-        _write_csv(path, comment, ["j", "x", "U", "V"], rows)
-        return
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            rows.append(
-                (i, j, grid.xs[i], grid.ys[j], state.U_curr[i, j], state.V_curr[i, j])
-            )
-    _write_csv(path, comment, ["i", "j", "x", "y", "U", "V"], rows)
+def _write_solution(path: Path, comment: str, grid, state) -> None:
+    """One row per node: index (j, resp. i and j), coordinates, U and V."""
+    d = len(grid.shape)
+    rows = [
+        (*idx, *(a[k] for a, k in zip(grid.axes, idx)))
+        + (state.U_curr[idx], state.V_curr[idx])
+        for idx in np.ndindex(grid.shape)
+    ]
+    _write_csv(path, comment, [*"ij"[-d:], *"xy"[:d], "U", "V"], rows)
 
 
 def main(argv=None) -> int:

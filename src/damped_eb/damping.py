@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as expr_mod
-from .mesh import grid1d, grid2d, norm
+from .mesh import grid_of, norm
 
 __all__ = [
     "DampingError",
@@ -44,10 +44,10 @@ class DampingLaw:
 
     ``p0`` is the claimed positive lower bound of P and ``lipschitz`` the
     claimed bound on P'; either may be None when unknown (they are
-    hypotheses of the stability/convergence statements, not runtime
-    guards -- see :func:`validate_law`).  The steppers only enforce that
-    each z_n = ||V^n||^2 is finite, so P is only evaluated on [0, inf),
-    and that each q_n is finite and >= 0 (:func:`q_checked`).
+    hypotheses of the stability/convergence statements; :func:`validate_law`
+    samples both).  The steppers enforce that each z_n = ||V^n||^2 is
+    finite, so P is only evaluated on [0, inf), and that each q_n is
+    finite, >= 0 and, when p0 is given, >= p0 (:func:`q_checked`).
     """
 
     name: str
@@ -137,24 +137,25 @@ def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
     """Damping coefficient P(||V||_b^2) in 1D, P(||V||_f^2) in 2D, the norms
     being the Simpson integrals of V^2."""
     V = np.asarray(V)
-    if V.ndim == 1:
-        return law(norm(grid1d((V.shape[0] - 1) // 2), V, "b") ** 2)
-    return law(norm(grid2d((V.shape[0] - 1) // 2, (V.shape[1] - 1) // 2), V, "f") ** 2)
+    kind = "b" if V.ndim == 1 else "f"
+    return law(norm(grid_of(V.shape), V, kind) ** 2)
 
 
 def q_checked(z: float, law: DampingLaw, n: int, t: float) -> float:
     """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
 
     Raises :class:`DampingError` when z is non-finite (the state stopped
-    being finite; P is not evaluated) or q_n is negative or non-finite,
-    which voids the scheme's stability (and, for a <= 0, its solvability).
+    being finite; P is not evaluated), when q_n is negative or non-finite,
+    which voids the scheme's stability (and, for a <= 0, its solvability),
+    or when q_n falls below the law's claimed lower bound p0.
     """
     q = law(z) if math.isfinite(z) else math.nan
-    if not 0.0 <= q < math.inf:
+    floor = max(0.0, law.p0 or 0.0)
+    if not floor <= q < math.inf:
         raise DampingError(
             f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
             f"{law.name!r} and z = ||V||^2 = {z:.6g}; z must be finite, q finite "
-            f"and >= 0"
+            f"and >= {floor:g}"
         )
     return q
 

@@ -17,9 +17,8 @@ import math
 import numpy as np
 
 from . import mesh
-from .mesh import Grid, Grid1D, Grid2D, TimeGrid
+from .mesh import Grid, TimeGrid
 from .stepper1d import EnergyRecord, run
-from .stepper2d import Problem2D
 
 __all__ = [
     "ReportRow",
@@ -48,12 +47,6 @@ class ConvergenceReport:
     theory_order: float
     rows: list[ReportRow]
     profile: str = "paper"
-
-
-def _grid(problem, J: int, J2: int | None = None) -> Grid:
-    if isinstance(problem, Problem2D):
-        return Grid2D(J, J2 or J)
-    return Grid1D(J)
 
 
 def _terminal(problem, grid: Grid, N: int) -> np.ndarray:
@@ -85,7 +78,7 @@ def temporal_study(
     """
     if list(N_list) != sorted(N_list) or N_list[0] < 2:
         raise ValueError("N_list must be ascending with N >= 2")
-    grid = _grid(problem, J, J2)
+    grid = mesh.grid_for(problem.dimension, J, J2)
     cache: dict[int, np.ndarray] = {}
 
     def terminal(N):
@@ -99,7 +92,7 @@ def temporal_study(
         for N, err, order in zip(N_list, errors, _orders(errors))
     ]
     return ConvergenceReport(
-        "temporal", len(grid.shape), problem.law.name, 2.0, rows, profile
+        "temporal", problem.dimension, problem.law.name, 2.0, rows, profile
     )
 
 
@@ -121,10 +114,10 @@ def spatial_study(
 
     def terminal(J):
         if J not in cache:
-            cache[J] = _terminal(problem, _grid(problem, J), N)
+            cache[J] = _terminal(problem, mesh.grid_for(problem.dimension, J), N)
         return cache[J]
 
-    dimension = terminal(J_list[0]).ndim
+    dimension = problem.dimension
     interior = (slice(1, -1),) * dimension
     coincident = (slice(2, -2, 2),) * dimension  # fine nodes 2j, coarse interior j
     errors = []

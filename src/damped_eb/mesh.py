@@ -4,11 +4,15 @@ Grid functions are plain float64 arrays over the full closed grid
 (including boundary nodes, which are kept at exact zero) so stencil code
 can read neighbors without index guards.  A 1D grid with parameter J has
 2J+1 nodes x_j = j*h, h = 1/(2J); the even node count is what makes the
-Simpson-type weighted norms below well defined.
+Simpson-type weighted norms below well defined.  A 2D grid is the tensor
+product of two such axes.  Each grid carries its node ``axes``, its
+``shape``, the ``cell`` volume h resp. h1*h2, the open (sparse) mesh
+``coords`` of its nodes and the ``interior`` index, so sampling, inner
+products and the l2/inf norms are written once for both dimensions.
 
 Norms (interior sums only; u denotes the grid function):
 
-    l2    sqrt(h * sum u_j^2)                       ditto with h1*h2 in 2D
+    l2    sqrt(cell * sum u_j^2)                    cell = h resp. h1*h2
     inf   max |u_j|
     a     sqrt(2h * sum_{odd j} u_j^2)                             1D only
     b     sqrt(2/3 ||u||^2 + 1/3 ||u||_a^2)                        1D only
@@ -22,6 +26,8 @@ coincide with composite Simpson quadrature of u^2 (see damping module).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 
@@ -33,11 +39,21 @@ __all__ = [
     "TimeGrid",
     "grid1d",
     "grid2d",
-    "zeros",
+    "grid_for",
+    "grid_of",
     "sample",
     "inner",
     "norm",
 ]
+
+
+def _set_mesh(grid, axes: tuple[np.ndarray, ...], cell: float) -> None:
+    """Attach the attributes derived from a grid's node axes."""
+    grid.axes = axes
+    grid.shape = tuple(a.size for a in axes)
+    grid.cell = cell
+    grid.coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+    grid.interior = (slice(1, -1),) * len(axes)
 
 
 @dataclasses.dataclass
@@ -51,10 +67,7 @@ class Grid1D:
             raise ValueError("Grid1D requires J >= 2")
         self.h = 1.0 / (2 * self.J)
         self.nodes = np.linspace(0.0, 1.0, 2 * self.J + 1)
-
-    @property
-    def shape(self) -> tuple[int]:
-        return (2 * self.J + 1,)
+        _set_mesh(self, (self.nodes,), self.h)
 
 
 @dataclasses.dataclass
@@ -71,10 +84,7 @@ class Grid2D:
         self.h2 = 1.0 / (2 * self.J2)
         self.xs = np.linspace(0.0, 1.0, 2 * self.J1 + 1)
         self.ys = np.linspace(0.0, 1.0, 2 * self.J2 + 1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (2 * self.J1 + 1, 2 * self.J2 + 1)
+        _set_mesh(self, (self.xs, self.ys), self.h1 * self.h2)
 
 
 @dataclasses.dataclass
@@ -101,80 +111,56 @@ class TimeGrid:
 
 Grid = Grid1D | Grid2D
 
-_GRID1_CACHE: dict[int, Grid1D] = {}
-_GRID2_CACHE: dict[tuple[int, int], Grid2D] = {}
+# cached accessors (grids are immutable by convention)
+grid1d = functools.cache(Grid1D)
+grid2d = functools.cache(Grid2D)
 
 
-def grid1d(J: int) -> Grid1D:
-    """Cached Grid1D accessor (grids are immutable by convention)."""
-    g = _GRID1_CACHE.get(J)
-    if g is None:
-        g = _GRID1_CACHE[J] = Grid1D(J)
-    return g
+def grid_for(dimension: int, J: int, J2: int | None = None) -> Grid:
+    """The cached grid of a beam (dimension 1, J) or a plate (dimension 2,
+    J x J2, square when J2 is None)."""
+    if dimension == 1:
+        return grid1d(J)
+    return grid2d(J, J if J2 is None else J2)
 
 
-def grid2d(J1: int, J2: int) -> Grid2D:
-    g = _GRID2_CACHE.get((J1, J2))
-    if g is None:
-        g = _GRID2_CACHE[(J1, J2)] = Grid2D(J1, J2)
-    return g
+def grid_of(shape: tuple[int, ...]) -> Grid:
+    """The cached grid whose node arrays have ``shape``."""
+    return grid_for(len(shape), *((n - 1) // 2 for n in shape))
 
 
-def zeros(grid: Grid) -> np.ndarray:
-    return np.zeros(grid.shape)
-
-
-def _eval_on(f, xs, ys, t):
+def _eval_on(f, coords, t):
     if hasattr(f, "_eval"):  # expression tree
-        return expr_mod.evaluate(f, x=xs, y=ys if ys is not None else 0.0, t=t)
-    if ys is None:
-        return f(xs, t)
-    return f(xs, ys, t)
+        return expr_mod.evaluate(f, *coords, t=t)
+    return f(*coords, t)
 
 
 def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
     """Evaluate ``f`` at the nodes; boundary values are forced to exact zero.
 
     ``f`` may be an expression tree or a callable ``f(x, t)`` / ``f(x, y, t)``
-    accepting numpy arrays.  Domain errors are re-raised with the offending
-    node's location.
+    accepting numpy arrays (on a plate, x and y come as the open mesh, a
+    column and a row that broadcast against each other).  Domain errors
+    are re-raised with the offending node's location.
     """
-    if isinstance(grid, Grid1D):
-        xs, ys = grid.nodes, None
-    else:
-        xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     try:
-        values = _eval_on(f, xs, ys, t)
+        values = _eval_on(f, grid.coords, t)
     except expr_mod.DomainError:
         _locate_domain_error(grid, f, t)
         raise
     out = np.zeros(grid.shape)
-    out[...] = np.broadcast_to(np.asarray(values, dtype=np.float64), grid.shape)
-    if isinstance(grid, Grid1D):
-        out[0] = out[-1] = 0.0
-    else:
-        out[0, :] = out[-1, :] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
+    out[grid.interior] = np.broadcast_to(values, grid.shape)[grid.interior]
     return out
 
 
 def _locate_domain_error(grid, f, t):
     """Re-evaluate pointwise to name the first failing node."""
-    if isinstance(grid, Grid1D):
-        for x in grid.nodes:
-            try:
-                _eval_on(f, np.float64(x), None, t)
-            except expr_mod.DomainError as exc:
-                raise expr_mod.DomainError(f"{exc} at x={x}, t={t}") from None
-    else:
-        for x in grid.xs:
-            for y in grid.ys:
-                try:
-                    _eval_on(f, np.float64(x), np.float64(y), t)
-                except expr_mod.DomainError as exc:
-                    raise expr_mod.DomainError(
-                        f"{exc} at x={x}, y={y}, t={t}"
-                    ) from None
+    for point in itertools.product(*grid.axes):
+        try:
+            _eval_on(f, point, t)
+        except expr_mod.DomainError as exc:
+            at = "".join(f"{name}={c}, " for name, c in zip("xy", point))
+            raise expr_mod.DomainError(f"{exc} at {at}t={t}") from None
 
 
 def _check(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -186,22 +172,21 @@ def _check(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L2 inner product over interior nodes."""
-    u = _check(grid, u)
-    v = _check(grid, v)
-    if isinstance(grid, Grid1D):
-        return grid.h * float(np.dot(u[1:-1], v[1:-1]))
-    return grid.h1 * grid.h2 * float(np.sum(u[1:-1, 1:-1] * v[1:-1, 1:-1]))
+    u = _check(grid, u)[grid.interior]
+    v = _check(grid, v)[grid.interior]
+    return grid.cell * float(np.sum(u * v))
 
 
 def norm(grid: Grid, u: np.ndarray, kind: str = "l2") -> float:
     """Discrete norm of the given kind; see the module docstring for formulas."""
     u = _check(grid, u)
     kind = kind.lower()
+    if kind == "l2":
+        w = u[grid.interior]
+        return float(np.sqrt(grid.cell * np.sum(w * w)))
+    if kind == "inf":
+        return float(np.max(np.abs(u[grid.interior])))
     if isinstance(grid, Grid1D):
-        if kind == "l2":
-            return float(np.sqrt(grid.h * np.dot(u[1:-1], u[1:-1])))
-        if kind == "inf":
-            return float(np.max(np.abs(u[1:-1])))
         if kind == "a":
             odd = u[1:-1:2]
             return float(np.sqrt(2.0 * grid.h * np.dot(odd, odd)))
@@ -210,11 +195,6 @@ def norm(grid: Grid, u: np.ndarray, kind: str = "l2") -> float:
             a = norm(grid, u, "a")
             return float(np.sqrt((2.0 / 3.0) * l2 * l2 + (1.0 / 3.0) * a * a))
         raise ValueError(f"norm kind {kind!r} not defined on a 1D grid")
-    if kind == "l2":
-        w = u[1:-1, 1:-1]
-        return float(np.sqrt(grid.h1 * grid.h2 * np.sum(w * w)))
-    if kind == "inf":
-        return float(np.max(np.abs(u[1:-1, 1:-1])))
     if kind == "e":
         eo = u[0:-1:2, 1::2]  # (even, odd) node pairs
         oe = u[1::2, 0:-1:2]

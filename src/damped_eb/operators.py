@@ -22,6 +22,8 @@ method-of-lines reference and the tests use.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import linalg as sla
 
@@ -41,18 +43,31 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# 1D stencil application
+# Stencils along one axis of a grid function, and the 1D operators
+
+def _stencil_along(u: np.ndarray, axis: int, centre: float, scale: float) -> np.ndarray:
+    """(u_{j+1} + centre*u_j + u_{j-1}) / scale along ``axis``, zero on its boundary."""
+    lead = (slice(None),) * axis
+    up, mid, down = (lead + (s,) for s in (np.s_[2:], np.s_[1:-1], np.s_[:-2]))
+    out = np.zeros_like(u)
+    out[mid] = (u[up] + centre * u[mid] + u[down]) / scale
+    return out
+
+
+def _compact_along(u: np.ndarray, axis: int) -> np.ndarray:
+    return _stencil_along(u, axis, 10.0, 12.0)
+
+
+def _diff_along(u: np.ndarray, axis: int, h: float) -> np.ndarray:
+    return _stencil_along(u, axis, -2.0, h * h)
+
 
 def apply_A(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[1:-1] = (u[2:] + 10.0 * u[1:-1] + u[:-2]) / 12.0
-    return out
+    return _compact_along(u, 0)
 
 
 def apply_D(u: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    return out
+    return _diff_along(u, 0, h)
 
 
 _COMPACT_FACTORS: dict[int, np.ndarray] = {}
@@ -70,12 +85,19 @@ def _compact_factor(m: int) -> np.ndarray:
     return fac
 
 
+def _solve_along(b: np.ndarray, axis: int) -> np.ndarray:
+    """Solve the compact average along ``axis`` of interior values b
+    (banded Cholesky elimination)."""
+    b = np.moveaxis(b, axis, 0)
+    fac = _compact_factor(b.shape[0])
+    u = sla.cho_solve_banded((fac, False), b, check_finite=False)
+    return np.moveaxis(u, 0, axis)
+
+
 def solve_A(b: np.ndarray) -> np.ndarray:
     """Solve A u = b for u with zero boundary (tridiagonal elimination)."""
     out = np.zeros_like(b)
-    out[1:-1] = sla.cho_solve_banded(
-        (_compact_factor(b.shape[0] - 2), False), b[1:-1], check_finite=False
-    )
+    out[1:-1] = _solve_along(b[1:-1], 0)
     return out
 
 
@@ -101,17 +123,16 @@ def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cached
 
 
-def _sine_symbols(ms) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _sine_symbols(ms) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Sine matrices per axis of an interior with ``ms`` nodes per axis, and
-    the symbols (lam, mu): of (A, D) in 1D, of (H, Phi) in 2D, where
-    lamH = lam_1 (x) lam_2 and lamPhi = mu_1 (x) lam_2 + lam_1 (x) mu_2."""
-    modes = [_sine_modes(m) for m in ms]
-    S = [s for s, _, _ in modes]
-    if len(modes) == 1:
-        _, mu, lam = modes[0]
-        return S, lam, mu
-    (_, mu1, lam1), (_, mu2, lam2) = modes
-    return S, np.outer(lam1, lam2), np.outer(mu1, lam2) + np.outer(lam1, mu2)
+    the symbols (lam, mu): of (A, D) in 1D, of (H, Phi) in 2D.  The compact
+    average acts along every axis, lamH = lam_1 (x) lam_2, and Phi sums the
+    second difference along one axis times the averages along the others,
+    lamPhi = mu_1 (x) lam_2 + lam_1 (x) mu_2."""
+    S, mus, lams = zip(*(_sine_modes(m) for m in ms))
+    tensor = functools.partial(functools.reduce, np.multiply.outer)
+    mu = sum(tensor(lams[:k] + (mus[k],) + lams[k + 1 :]) for k in range(len(ms)))
+    return S, tensor(lams), mu
 
 
 # ---------------------------------------------------------------------------
@@ -137,28 +158,6 @@ def solve_step_1d(
 # ---------------------------------------------------------------------------
 # 2D operators (tensor sweeps over full arrays with zero boundary)
 
-def _compact_along(u: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(u)
-    if axis == 0:
-        out[1:-1, :] = (u[2:, :] + 10.0 * u[1:-1, :] + u[:-2, :]) / 12.0
-    else:
-        out[:, 1:-1] = (u[:, 2:] + 10.0 * u[:, 1:-1] + u[:, :-2]) / 12.0
-    return out
-
-
-def _diff_along(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    if axis == 0:
-        out[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / (h * h)
-    else:
-        out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (h * h)
-    return out
-
-
-def _steps(shape: tuple[int, int]) -> tuple[float, float]:
-    return 1.0 / (shape[0] - 1), 1.0 / (shape[1] - 1)
-
-
 def apply_H(u: np.ndarray) -> np.ndarray:
     """H = A_x B_y; sweep order is immaterial (the factors commute)."""
     return _compact_along(_compact_along(u, 1), 0)
@@ -166,7 +165,7 @@ def apply_H(u: np.ndarray) -> np.ndarray:
 
 def apply_Phi(u: np.ndarray) -> np.ndarray:
     """Phi = B_y Dx + A_x Dy (mesh widths inferred from the unit square)."""
-    h1, h2 = _steps(u.shape)
+    h1, h2 = (1.0 / (n - 1) for n in u.shape)
     return _compact_along(_diff_along(u, 0, h1), 1) + _compact_along(
         _diff_along(u, 1, h2), 0
     )
@@ -174,11 +173,8 @@ def apply_Phi(u: np.ndarray) -> np.ndarray:
 
 def solve_H(b: np.ndarray) -> np.ndarray:
     """Solve H u = b via one tridiagonal sweep per direction."""
-    m1, m2 = b.shape[0] - 2, b.shape[1] - 2
-    w = sla.cho_solve_banded((_compact_factor(m1), False), b[1:-1, 1:-1], check_finite=False)
-    u = sla.cho_solve_banded((_compact_factor(m2), False), w.T, check_finite=False).T
     out = np.zeros_like(b)
-    out[1:-1, 1:-1] = u
+    out[1:-1, 1:-1] = _solve_along(_solve_along(b[1:-1, 1:-1], 0), 1)
     return out
 
 

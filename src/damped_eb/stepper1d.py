@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,9 +76,11 @@ class Problem1D:
     ``u0``/``u1``/``f`` are expression trees or callables ``(x, t)``;
     u0 and u1 must not depend on t.  ``lap_u0``/``bilap_u0`` optionally
     supply the analytic laplacian / bilaplacian of u0 for the startup
-    (otherwise both are realized discretely).
+    (otherwise both are realized discretely).  ``dimension`` names the
+    grid the problem lives on (the plate subclass sets 2).
     """
 
+    dimension: ClassVar[int] = 1
     u0: object
     u1: object
     f: object
@@ -129,10 +132,9 @@ class _SineScheme:
 
     def __init__(self, grid: Grid, tau: float) -> None:
         shape = grid.shape
-        self.grid, self.tau = grid, tau
+        self.grid, self.tau, self.cell = grid, tau, grid.cell
         self.S, lam, mu = operators._sine_symbols([n - 2 for n in shape])
-        self.cell = math.prod(1.0 / (n - 1) for n in shape)  # h resp. h1*h2
-        self.interior = (Ellipsis,) + (slice(1, -1),) * len(shape)
+        self.interior = (Ellipsis,) + grid.interior
         self.flips = [
             (Ellipsis, slice(None, None, -1)) + (slice(None),) * k
             for k in range(len(shape))
@@ -209,8 +211,7 @@ class _SineScheme:
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
-    Js = [(n - 1) // 2 for n in state.U_curr.shape]
-    return _SineScheme(mesh.grid1d(*Js) if len(Js) == 1 else mesh.grid2d(*Js), tau)
+    return _SineScheme(mesh.grid_of(state.U_curr.shape), tau)
 
 
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:

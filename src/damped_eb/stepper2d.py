@@ -3,18 +3,19 @@
 The plate runs the scheme of :mod:`damped_eb.stepper1d` on a ``Grid2D``:
 the tensor operators H and Phi take the places of A and D, the f-norm
 gives the damping coefficient q_n = P(||V^n||_f^2), and every step is
-elementwise on the tensor sine coefficients.  This module holds the plate
-problem data and the 2D names of the shared stepper.
+elementwise on the tensor sine coefficients.  This module holds the 2D
+names of the shared problem data and stepper: ``Problem2D`` is the beam's
+``Problem1D`` with dimension 2, which is all the harness and the command
+line read to build a ``Grid2D``.
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from .damping import DampingLaw
 from .stepper1d import (
     EnergyRecord,
+    Problem1D,
     StepperState,
     energy,
     init,
@@ -34,17 +35,10 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
-class Problem2D:
+class Problem2D(Problem1D):
     """Plate problem data; expressions in (x, y, t), u0/u1 independent of t."""
 
-    u0: object
-    u1: object
-    f: object
-    law: DampingLaw
-    T: float
-    lap_u0: object | None = None
-    bilap_u0: object | None = None
+    dimension = 2
 
 
 StepperState2D = StepperState

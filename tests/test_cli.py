@@ -312,13 +312,39 @@ def test_negative_damping_law_exits_with_one_error_line(tmp_path, capsys, spec):
     assert "n = 0, t = 0" in err[0] and "q = -" in err[0]
 
 
-def test_cg_tol_is_accepted_and_ignored(tmp_path, capsys):
+def test_cg_tol_is_an_unknown_key(tmp_path, capsys):
     path = write_cfg(tmp_path, TINY_2D.replace("J = 4", "J = 4\ncg_tol = 1e-9"))
-    cfg = load_config(path, command="simulate")
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "cg_tol is ignored" in err[0]
-    assert not hasattr(cfg, "cg_tol")
-    assert execute(cfg, out_dir=tmp_path / "out") == 0
+    assert len(err) == 1 and "unknown key 'cg_tol' in [grid]" in err[0]
+
+
+def test_spatial_study_rejects_rectangular_grid(tmp_path, capsys):
+    study = "\n[study]\nJ_list = 4, 8\n"
+    path = write_cfg(tmp_path, TINY_2D.replace("J = 4", "J = 4\nJ2 = 8") + study)
+    out = tmp_path / "out"
+    assert main(["spatial-study", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "J2" in err[0] and "square grids" in err[0]
+    assert not out.exists()
+    # J2 = J names the square grid the study refines; other commands keep J2
+    text = TINY_2D.replace("J = 4", "J = 4\nJ2 = 4") + study
+    square = write_cfg(tmp_path, text, name="square.cfg")
+    assert load_config(square, command="spatial-study").J2 == 4
+    assert load_config(path, command="simulate").J2 == 8
+
+
+def test_law_below_its_p0_exits_with_one_error_line(tmp_path, capsys):
+    text = TINY_1D.replace("law = sqrt", 'law = "0.5"\nlaw_p0 = 1')
+    path = write_cfg(tmp_path, text)
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: DampingError:")
+    assert "q = 0.5 at n = 0, t = 0 " in err[0] and err[0].endswith(">= 1")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from damped_eb.damping import (
     sqrt_law,
     validate_law,
 )
-from damped_eb.stepper1d import Problem1D, init, step
+from damped_eb.stepper1d import Problem1D, init, run, step
 from damped_eb.stepper2d import Problem2D, init2d, step2d
 
 from oracles import random_gridfn_1d, random_gridfn_2d
@@ -169,6 +169,7 @@ def test_law_from_spec_expression_in_z():
 BAD_LAWS = [
     law_from_spec("-5"),
     law_from_spec("1 - z"),
+    law_from_spec("0.5", p0=1.0),  # positive, but below its claimed bound
     damping.DampingLaw("nan", lambda z: np.nan),
     damping.DampingLaw("inf", lambda z: np.inf),
 ]
@@ -190,3 +191,16 @@ def test_damping_outside_hypotheses_fails_fast(dim, law):
     st = init_fn(good, g, tg)
     with pytest.raises(damping.DampingError, match=r"n = 1, t = 0\.111111 "):
         step_fn(st, np.zeros(g.shape), tg.tau, law)
+
+
+def test_run_fails_fast_below_the_law_lower_bound():
+    zero = expr.parse("0")
+    u0 = expr.parse("sin(pi*x)")
+    g, tg = mesh.Grid1D(4), mesh.TimeGrid(8, 1.0)
+    below = Problem1D(u0, zero, zero, law_from_spec("0.5", p0=1.0), 1.0)
+    with pytest.raises(
+        damping.DampingError, match=r"q = 0\.5 at n = 0, t = 0 from law '0\.5' .* >= 1$"
+    ):
+        run(below, g, tg)
+    _, records = run(Problem1D(u0, zero, zero, law_from_spec("1", p0=1.0), 1.0), g, tg)
+    assert len(records) == tg.N + 1  # q = p0 is allowed

@@ -150,3 +150,21 @@ def test_norms_absolutely_homogeneous():
             assert mesh.norm(g2, c * w, kind) == pytest.approx(
                 abs(c) * mesh.norm(g2, w, kind), rel=1e-14, abs=1e-300
             )
+
+
+def test_sample_2d_domain_error_names_node():
+    g = Grid2D(2, 2)
+    with pytest.raises(expr.DomainError) as err:
+        mesh.sample(g, expr.parse("1/(x-0.5)+1/(y-0.25)"))
+    assert str(err.value).endswith(" at x=0.0, y=0.25, t=0.0")
+
+
+def test_sample_plate_callable():
+    g = Grid2D(2, 3)
+    out = mesh.sample(g, lambda x, y, t: t + x + 10.0 * y, t=0.5)
+    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    assert out.shape == g.shape
+    assert np.array_equal(out[1:-1, 1:-1], (0.5 + X + 10.0 * Y)[1:-1, 1:-1])
+    ring = np.ones(g.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert not out[ring].any()
