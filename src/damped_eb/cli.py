@@ -183,6 +183,11 @@ def _validate(cfg: RunConfig, command: str | None):
         v = getattr(cfg, key)
         if v is not None and v < 2:
             raise ConfigError(f"{name}: {key} must be >= 2")
+    if cfg.dimension == 1 and cfg.J2 is not None:
+        raise ConfigError(
+            f"{name}: J2 = {cfg.J2} is set but dimension = 1; a beam grid has "
+            f"only J, so drop J2"
+        )
     if command == "spatial-study" and cfg.J2 is not None and cfg.J2 != cfg.J:
         raise ConfigError(
             f"{name}: J2 = {cfg.J2} differs from J; spatial-study refines "

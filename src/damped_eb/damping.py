@@ -141,20 +141,23 @@ def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
     return law(norm(grid_of(V.shape), V, kind) ** 2)
 
 
-def q_checked(z: float, law: DampingLaw, n: int, t: float) -> float:
+def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
     """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
 
     Raises :class:`DampingError` when z is non-finite (the state stopped
     being finite; P is not evaluated), when q_n is negative or non-finite,
     which voids the scheme's stability (and, for a <= 0, its solvability),
-    or when q_n falls below the law's claimed lower bound p0.
+    or when q_n falls below the law's claimed lower bound p0.  The message
+    names ``grid`` (by its repr, e.g. ``Grid1D(J=8)``) when one is given,
+    so that a batch of runs says which run failed.
     """
     q = law(z) if math.isfinite(z) else math.nan
     floor = max(0.0, law.p0 or 0.0)
     if not floor <= q < math.inf:
+        on = "" if grid is None else f" on {grid!r}"
         raise DampingError(
             f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
-            f"{law.name!r} and z = ||V||^2 = {z:.6g}; z must be finite, q finite "
+            f"{law.name!r} and z = ||V||^2 = {z:.6g}{on}; z must be finite, q finite "
             f"and >= {floor:g}"
         )
     return q

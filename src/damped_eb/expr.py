@@ -19,6 +19,7 @@ scalars or numpy arrays for any of the bindings.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from typing import Mapping, Union
 
@@ -32,6 +33,7 @@ __all__ = [
     "evaluate",
     "to_source",
     "uses_variable",
+    "split_time",
 ]
 
 
@@ -258,6 +260,42 @@ def uses_variable(expr: Expression, name: str) -> bool:
     if isinstance(expr, Call):
         return uses_variable(expr.arg, name)
     return False
+
+
+def split_time(expr: Expression) -> tuple[Expression | None, Expression] | None:
+    """Split a product f = g(t) * F(x, y) into its time and space factors.
+
+    ``expr`` must be a chain of ``*`` (nested on either side; ``-`` signs and
+    constants allowed) whose factors each use only t or no t.  Returns
+    (g, F): g multiplies the factors that use t (None when none does), F
+    the others in their order (``Const(1.0)`` when there are none).  Returns
+    None for any other tree, such as ``sin(pi*x*t)`` or ``t + sin(pi*x)``.
+    """
+    factors: list[Expression] = []
+
+    def collect(node):
+        if isinstance(node, BinOp) and node.op == "*":
+            collect(node.left)
+            collect(node.right)
+        elif isinstance(node, Neg):
+            factors.append(Const(-1.0))
+            collect(node.operand)
+        else:
+            factors.append(node)
+
+    collect(expr)
+    timed, spatial = [], []
+    for node in factors:
+        if not uses_variable(node, "t"):
+            spatial.append(node)
+        elif uses_variable(node, "x") or uses_variable(node, "y"):
+            return None
+        else:
+            timed.append(node)
+    product = functools.partial(functools.reduce, lambda a, b: BinOp("*", a, b))
+    return (product(timed) if timed else None), (
+        product(spatial) if spatial else Const(1.0)
+    )
 
 
 def _source(expr: Expression) -> tuple[str, int]:

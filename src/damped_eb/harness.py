@@ -5,9 +5,10 @@ J in space) and its error compares the run at p against the run at the
 halved refinement p//2; orders between consecutive rows are pairwise
 log2 ratios.  Temporal rows share one spatial grid, and the time-step
 convention tau = T/(N+1) makes every run's terminal field land exactly
-on T.  Spatial rows share one N (hence one tau) and are compared at
-coincident nodes (coarse j <-> fine 2j), weighted by the row grid's mesh
-width.
+on T.  Spatial rows share one N (hence one tau), so every grid of a spatial
+study (each J and each J//2) steps in one batched time loop
+(:func:`damped_eb.stepper1d.run_batch`); rows are compared at coincident
+nodes (coarse j <-> fine 2j), weighted by the row grid's mesh width.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import Grid, TimeGrid
-from .stepper1d import EnergyRecord, run
+from .stepper1d import EnergyRecord, run, run_batch
 
 __all__ = [
     "ReportRow",
@@ -106,23 +107,21 @@ def spatial_study(
 
     Row J compares the run on grid J against the run on grid J//2 at the
     coarse grid's nodes, with the row grid's mesh width in the norm
-    weight; both runs share the same time step.
+    weight.  All runs share the same time step and advance together in one
+    batched run.
     """
     if list(J_list) != sorted(J_list) or J_list[0] < 4:
         raise ValueError("J_list must be ascending with J >= 4")
-    cache: dict[int, np.ndarray] = {}
-
-    def terminal(J):
-        if J not in cache:
-            cache[J] = _terminal(problem, mesh.grid_for(problem.dimension, J), N)
-        return cache[J]
-
+    Js = sorted(set(J_list) | {J // 2 for J in J_list})
+    grids = [mesh.grid_for(problem.dimension, J) for J in Js]
+    states = run_batch(problem, grids, TimeGrid(N, problem.T))[0]
+    terminal = {J: state.U_curr for J, state in zip(Js, states)}
     dimension = problem.dimension
     interior = (slice(1, -1),) * dimension
     coincident = (slice(2, -2, 2),) * dimension  # fine nodes 2j, coarse interior j
     errors = []
     for J in J_list:
-        diff = terminal(J // 2)[interior] - terminal(J)[coincident]
+        diff = terminal[J // 2][interior] - terminal[J][coincident]
         h_row = 1.0 / (2 * J)
         errors.append(float(np.sqrt(h_row**dimension * np.sum(diff * diff))))
     rows = [

@@ -23,6 +23,13 @@ h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
 so along each axis c -> h (c + flip(c)/3), and ||V||^2 = sum Vh (weighted
 Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 
+A run steps a batch of grids of one dimension with one tau (a spatial
+study steps all its grids in one time loop; a single run is a batch of
+one).  The grids' coefficients are concatenated into one vector, so a step
+is one elementwise update of the whole batch, with per-grid sums for z, E
+and ||f||.  A forcing f = g(t) F(x[, y]) is sampled and transformed once
+per grid, and a step scales F's coefficients by the scalar g(t_n).
+
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
 consistent acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0.
@@ -39,12 +46,14 @@ reference solution (stencils and banded solves only).
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
+import operator
 from typing import ClassVar
 
 import numpy as np
 
 from . import damping as damping_mod
+from . import expr as expr_mod
 from . import mesh, operators
 from .damping import DampingLaw
 from .mesh import Grid, Grid1D, TimeGrid
@@ -60,6 +69,7 @@ __all__ = [
     "step",
     "energy",
     "run",
+    "run_batch",
     "stability_check",
     "mol_reference",
 ]
@@ -122,102 +132,214 @@ class StabilityReport:
     violations: list[tuple[int, float]]  # (index, excess above the bound)
 
 
-class _SineScheme:
-    """The scheme on the sine coefficients of one grid's interior, step tau.
+def _transform(S: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Sine transform (its own inverse) along each spatial (trailing) axis."""
+    x = x @ S[-1]
+    return S[0] @ x if len(S) == 2 else x
 
-    The grid's dimension picks the symbols (lam, mu): of (A, D) on a beam,
-    of (H, Phi) on a plate.  A window is the tuple (Uh^{n-1}, Uh^n,
-    Vh^{n-1}, Vh^n).
+
+class _SineScheme:
+    """The scheme on the sine coefficients of a batch of grids of one
+    dimension, all stepped with the same tau.
+
+    Each grid's interior coefficients are flattened into one block of a
+    single vector, next to the grid's symbols (lam, mu): of (A, D) on a
+    beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
+    the per-grid sums (z, E, ||f||) reduce over the blocks, and q_n is one
+    scalar per grid.  A window is the tuple (Uh^{n-1}, Uh^n, Vh^{n-1},
+    Vh^n); transforms run per block, only at the ends of a run.
     """
 
-    def __init__(self, grid: Grid, tau: float) -> None:
-        shape = grid.shape
-        self.grid, self.tau, self.cell = grid, tau, grid.cell
-        self.S, lam, mu = operators._sine_symbols([n - 2 for n in shape])
-        self.interior = (Ellipsis,) + grid.interior
-        self.flips = [
-            (Ellipsis, slice(None, None, -1)) + (slice(None),) * k
-            for k in range(len(shape))
-        ]
-        self.lam, self.lam2, self.half_mu2 = lam, lam * lam, 0.5 * mu * mu
+    def __init__(self, grids: list[Grid], tau: float) -> None:
+        if len({len(g.shape) for g in grids}) != 1:
+            raise ValueError("a batch holds grids of one dimension")
+        self.grids, self.tau = grids, tau
+        self.S, lams, mus = zip(
+            *(operators._sine_symbols([n - 2 for n in g.shape]) for g in grids)
+        )
+        self.shapes = [lam.shape for lam in lams]
+        self.sizes = [lam.size for lam in lams]
+        ends = np.cumsum(self.sizes)
+        self.starts = ends - self.sizes
+        self.blocks = [slice(a, b) for a, b in zip(self.starts, ends)]
+        self.cell = np.array([g.cell for g in grids])
+        # z's flip c -> flip(c) along each axis, as one index per axis into
+        # the vector viewed as flip_shape: for a lone grid a reversed view of
+        # its block (cheaper than a gather), for a batch a permutation.
+        # spread maps a sequence of per-grid scalars onto the blocks.
+        axes = range(-1, -1 - len(self.shapes[0]), -1)
+        if len(grids) == 1:
+            self.spread = operator.itemgetter(0)
+            self.flip_shape = self.shapes[0]
+            self.flips = [
+                (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
+                for axis in axes
+            ]
+        else:
+            self.spread = functools.partial(np.repeat, repeats=self.sizes)
+            self.flip_shape = (-1,)
+            index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
+            self.flips = [
+                np.concatenate(
+                    [a + np.flip(i, axis).ravel() for a, i in zip(self.starts, index)]
+                )
+                for axis in axes
+            ]
+        lam = np.concatenate([x.ravel() for x in lams])
+        mu = np.concatenate([x.ravel() for x in mus])
+        self.lam2, self.half_mu2 = lam * lam, 0.5 * mu * mu
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
+        # E^2 = sum over a block of cell*lam2/2*((2/tau^2) dUh^2 + Vh^2 + Vh-^2)
+        self.energy_weight = 0.5 * self.spread(self.cell) * self.lam2
 
-    def sine(self, x: np.ndarray) -> np.ndarray:
-        """Sine transform (its own inverse) along each spatial (trailing) axis."""
-        x = x @ self.S[-1]
-        return self.S[0] @ x if len(self.S) == 2 else x
+    def sine(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Coefficient vector of one interior nodal array per grid (leading
+        axes kept)."""
+        flat = [
+            _transform(S, x).reshape(x.shape[: x.ndim - len(S)] + (-1,))
+            for S, x in zip(self.S, parts)
+        ]
+        return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
+
+    def nodal(self, coeffs: np.ndarray) -> list[np.ndarray]:
+        """Nodal fields, one per grid, of a coefficient vector (leading axes kept)."""
+        lead = coeffs.shape[:-1]
+        out = []
+        for S, grid, block, shape in zip(self.S, self.grids, self.blocks, self.shapes):
+            fields = np.zeros(lead + grid.shape)
+            fields[(Ellipsis,) + grid.interior] = _transform(
+                S, coeffs[..., block].reshape(lead + shape)
+            )
+            out.append(fields)
+        return out
 
     def sample(self, f, t: float) -> np.ndarray:
-        """Sine coefficients of ``f`` sampled at time t."""
-        return self.sine(mesh.sample(self.grid, f, t)[self.interior])
+        """Coefficients of ``f`` sampled at time t on every grid."""
+        return self.sine([mesh.sample(g, f, t)[g.interior] for g in self.grids])
 
     def coefficients(self, state: StepperState) -> tuple[np.ndarray, ...]:
+        """Window of a state on a batch of one grid."""
+        (grid,) = self.grids
         fields = np.stack((state.U_prev, state.U_curr, state.V_prev, state.V_curr))
-        return tuple(self.sine(fields[self.interior]))
+        return tuple(self.sine([fields[(Ellipsis,) + grid.interior]]))
 
-    def state(self, n: int, window, q: float) -> StepperState:
-        fields = np.zeros((4,) + self.grid.shape)
-        fields[self.interior] = self.sine(np.stack(window))
-        return StepperState(n, *fields, q)
+    def states(self, n: int, window, qs: list[float]) -> list[StepperState]:
+        """One nodal state per grid at index n."""
+        fields = self.nodal(np.stack(window))
+        return [StepperState(n, *f, q) for f, q in zip(fields, qs)]
 
-    def z(self, V: np.ndarray) -> float:
-        """||V||^2 in the Simpson norm: c -> c + flip(c)/3 along each axis."""
-        w = V
+    def norms(self, u: np.ndarray) -> np.ndarray:
+        """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
+        return np.sqrt(self.cell * np.add.reduceat(u * u, self.starts))
+
+    def q(self, V: np.ndarray, law: DampingLaw, n: int) -> list[float]:
+        """q_n per grid from ||V||^2 in the Simpson norm, where
+        c -> c + flip(c)/3 along each axis."""
+        w = V.reshape(self.flip_shape)
         for flip in self.flips:
             w = w + w[flip] / 3.0
-        return self.cell * float(np.vdot(V, w))
+        sums = np.add.reduceat(V * w.reshape(-1), self.starts).tolist()
+        t = n * self.tau
+        return [
+            damping_mod.q_checked(grid.cell * s, law, n, t, grid)
+            for s, grid in zip(sums, self.grids)
+        ]
 
-    def norm(self, u: np.ndarray) -> float:
-        """l2 norm of the nodal field with coefficients u (Parseval)."""
-        return math.sqrt(self.cell * np.vdot(u, u))
+    def forcing(self, f):
+        """The map t -> (coefficients of f(., t), ||f(., t)|| per grid).
 
-    def start(self, problem) -> tuple[tuple[np.ndarray, ...], float]:
-        """Startup window at n = 1 and q_0."""
+        An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`)
+        is staged: F is sampled and transformed once, and each call
+        evaluates g on the scalar t.  A callable, any other tree, or an F
+        that leaves its domain is sampled and transformed on every grid at
+        each call.  A domain error of g(t) is raised by sampling f at t,
+        which names the failing node.
+        """
+        split = expr_mod.split_time(f) if hasattr(f, "_eval") else None
+        if split is not None:
+            g, F = split
+            try:
+                F_hat = self.sample(F, 0.0)
+            except expr_mod.DomainError:
+                split = None
+        if split is None:
+
+            def sampled(t):
+                f_hat = self.sample(f, t)
+                return f_hat, self.norms(f_hat)
+
+            return sampled
+        F_norm = self.norms(F_hat)
+        if g is None:
+            return lambda t: (F_hat, F_norm)
+
+        def staged(t):
+            try:
+                g_t = expr_mod.evaluate(g, t=t)
+            except expr_mod.DomainError:
+                mesh.sample(self.grids[0], f, t)
+                raise
+            return g_t * F_hat, abs(g_t) * F_norm
+
+        return staged
+
+    def start(self, problem, forcing) -> tuple[tuple[np.ndarray, ...], list[float]]:
+        """Startup window at n = 1 and q_0 per grid."""
         tau = self.tau
         U0 = self.sample(problem.u0, 0.0)
         if problem.lap_u0 is not None:
             V0 = self.sample(problem.lap_u0, 0.0)
         else:
             V0 = self.AinvD * U0
-        q0 = damping_mod.q_checked(self.z(V0), problem.law, 0, 0.0)
+        q0 = self.q(V0, problem.law, 0)
         if problem.bilap_u0 is not None:
             bilap = self.sample(problem.bilap_u0, 0.0)
         else:
             bilap = self.AinvD * V0
         u1 = self.sample(problem.u1, 0.0)
-        u2 = -q0 * u1 - bilap + self.sample(problem.f, 0.0)
+        u2 = -self.spread(q0) * u1 - bilap + forcing(0.0)[0]
         U1 = U0 + tau * u1 + 0.5 * tau * tau * u2
         return (U0, U1, V0, self.AinvD * U1), q0
 
     def advance(self, window, f_hat: np.ndarray, n: int, law: DampingLaw):
-        """Next window and q_n from the window at level n and f^n's coefficients."""
+        """Next window and q_n per grid from the window at level n and
+        f^n's coefficients."""
         U_prev, U, V_prev, V = window
-        q = damping_mod.q_checked(self.z(V), law, n, n * self.tau)
+        q = self.q(V, law, n)
         r = 1.0 / (self.tau * self.tau)
-        c = q / (2.0 * self.tau)
-        combo = f_hat + (2.0 * r) * U - (r - c) * U_prev
-        rhs = self.lam2 * combo - self.DA * V_prev + self.half_mu2 * U_prev
-        U_next = rhs / ((r + c) * self.lam2 + self.half_mu2)
-        return (U, U_next, V, V_prev + self.AinvD * (U_next - U_prev)), q
+        c = [q_i / (2.0 * self.tau) for q_i in q]
+        combo = f_hat + (2.0 * r) * U
+        combo -= self.spread([r - c_i for c_i in c]) * U_prev
+        rhs = self.lam2 * combo
+        rhs -= self.DA * V_prev
+        rhs += self.half_mu2 * U_prev
+        U_next = rhs / (self.spread([r + c_i for c_i in c]) * self.lam2 + self.half_mu2)
+        V_next = U_next - U_prev
+        V_next *= self.AinvD
+        V_next += V_prev
+        return (U, U_next, V, V_next), q
 
-    def energy(self, window) -> float:
-        """E of a window; by Parseval ||A u|| = ||lam * uh||."""
+    def energy(self, window) -> np.ndarray:
+        """E per grid of a window; by Parseval ||A u|| = ||lam * uh||."""
         U_prev, U, V_prev, V = window
-        dU = self.lam * (U - U_prev) / self.tau
-        AV, AV_prev = self.lam * V, self.lam * V_prev
-        s = np.vdot(dU, dU) + 0.5 * (np.vdot(AV, AV) + np.vdot(AV_prev, AV_prev))
-        return math.sqrt(self.cell * s)
+        dU = U - U_prev
+        e = (2.0 / (self.tau * self.tau)) * (dU * dU)
+        e += V * V
+        e += V_prev * V_prev
+        e *= self.energy_weight
+        return np.sqrt(np.add.reduceat(e, self.starts))
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
-    return _SineScheme(mesh.grid_of(state.U_curr.shape), tau)
+    return _SineScheme([mesh.grid_of(state.U_curr.shape)], tau)
 
 
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
-    scheme = _SineScheme(grid, tg.tau)
-    return scheme.state(1, *scheme.start(problem))
+    scheme = _SineScheme([grid], tg.tau)
+    (state,) = scheme.states(1, *scheme.start(problem, scheme.forcing(problem.f)))
+    return state
 
 
 def step(
@@ -225,15 +347,63 @@ def step(
 ) -> StepperState:
     """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
     scheme = _scheme_of(state, tau)
-    f_hat = scheme.sine(f_n[scheme.interior])
+    f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
     window, q = scheme.advance(scheme.coefficients(state), f_hat, state.n, law)
-    return scheme.state(state.n + 1, window, q)
+    (new,) = scheme.states(state.n + 1, window, q)
+    return new
 
 
 def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
     scheme = _scheme_of(state, tau)
-    return EnergyRecord(state.n - 1, scheme.energy(scheme.coefficients(state)))
+    (E,) = scheme.energy(scheme.coefficients(state))
+    return EnergyRecord(state.n - 1, float(E))
+
+
+def run_batch(
+    problem,
+    grids: list[Grid],
+    tg: TimeGrid,
+    observers: tuple = (),
+) -> tuple[list[StepperState], np.ndarray, np.ndarray]:
+    """Run ``problem`` on several grids of its dimension at once, N steps
+    each with the same time grid (ending at U^{N+1}, time T).
+
+    All runs advance together in one time loop, on one vector of sine
+    coefficients; when f is a product g(t) * F(x[, y]) its space factor is
+    transformed once per grid.  Observers are callables invoked with each
+    grid's state after startup and after every step.  Returns the final
+    state of each grid, in the order of ``grids``, and two arrays of shape
+    (N+1, len(grids)): the energy E^n of each grid and its running
+    stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  A
+    :class:`damped_eb.damping.DampingError` names the grid whose run failed.
+    """
+    tau = tg.tau
+    scheme = _SineScheme(list(grids), tau)
+
+    def observe(n, window, q):
+        for state in scheme.states(n, window, q):
+            for obs in observers:
+                obs(state)
+
+    energies = np.empty((tg.N + 1, len(grids)))
+    f_norms = np.zeros((tg.N + 1, len(grids)))
+    # a state that overflows is stopped by the guard on z (DampingError);
+    # silence the overflow warnings it raises on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = scheme.forcing(problem.f)
+        window, q = scheme.start(problem, forcing)
+        energies[0] = scheme.energy(window)
+        if observers:
+            observe(1, window, q)
+        for n in range(1, tg.N + 1):
+            f_hat, f_norms[n] = forcing(tg.t(n))
+            window, q = scheme.advance(window, f_hat, n, problem.law)
+            energies[n] = scheme.energy(window)
+            if observers:
+                observe(n + 1, window, q)
+        bounds = energies[0] + 2.0 * tau * np.cumsum(f_norms, axis=0)
+    return scheme.states(tg.N + 1, window, q), energies, bounds
 
 
 def run(
@@ -242,7 +412,8 @@ def run(
     tg: TimeGrid,
     observers: tuple = (),
 ) -> tuple[StepperState, list[EnergyRecord]]:
-    """Initialize and take N steps (ending at U^{N+1}, time T).
+    """Initialize and take N steps (ending at U^{N+1}, time T): the batch of
+    one grid of :func:`run_batch`.
 
     The grid sets the dimension: a ``Grid1D`` runs a beam, a ``Grid2D`` a
     plate.  Observers are callables invoked with the state after startup
@@ -251,26 +422,9 @@ def run(
     E^0 + 2 tau sum ||f^j||.  The steps run on sine coefficients; nodal
     states are built only for observers and the result.
     """
-    tau = tg.tau
-    scheme = _SineScheme(grid, tau)
-    window, q = scheme.start(problem)
-    E0 = scheme.energy(window)
-    records = [EnergyRecord(0, E0, E0)]
-    if observers:
-        state = scheme.state(1, window, q)
-        for obs in observers:
-            obs(state)
-    fsum = 0.0
-    for n in range(1, tg.N + 1):
-        f_hat = scheme.sample(problem.f, tg.t(n))
-        window, q = scheme.advance(window, f_hat, n, problem.law)
-        fsum += scheme.norm(f_hat)
-        records.append(EnergyRecord(n, scheme.energy(window), E0 + 2.0 * tau * fsum))
-        if observers:
-            state = scheme.state(n + 1, window, q)
-            for obs in observers:
-                obs(state)
-    return scheme.state(tg.N + 1, window, q), records
+    (state,), energies, bounds = run_batch(problem, [grid], tg, observers)
+    levels = zip(energies[:, 0].tolist(), bounds[:, 0].tolist())
+    return state, [EnergyRecord(n, E, bound) for n, (E, bound) in enumerate(levels)]
 
 
 def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> StabilityReport:

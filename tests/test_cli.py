@@ -368,3 +368,14 @@ def test_non_finite_state_exits_with_one_error_line(tmp_path, capsys, name, f):
     assert err[0].startswith("error: DampingError:")
     assert "z = ||V||^2 = inf" in err[0] or "z = ||V||^2 = nan" in err[0]
     assert not (out / "solution.csv").exists()
+
+
+def test_one_dimensional_config_rejects_J2(tmp_path, capsys):
+    path = write_cfg(tmp_path, TINY_1D.replace("J = 4", "J = 4\nJ2 = 8"))
+    for command in ("simulate", "temporal-study", "spatial-study", "energy-study"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "J2" in err[0] and "dimension = 1" in err[0]
+        assert not out.exists()

@@ -152,3 +152,41 @@ def test_round_trip_preserves_structure_sensitive_cases():
             assert expr.evaluate(tree, x=x, y=y, t=t) == expr.evaluate(
                 again, x=x, y=y, t=t
             )
+
+
+@pytest.mark.parametrize(
+    "source,g,F",
+    [
+        ("t^3*sin(pi*x)", "t ^ 3.0", "sin(3.141592653589793 * x)"),
+        ("0.93*(t^3*sin(pi*x))", "t ^ 3.0", "0.93 * sin(3.141592653589793 * x)"),
+        (
+            "-2*t*sin(pi*x)*sin(pi*y)",
+            "t",
+            "-1.0 * 2.0 * sin(3.141592653589793 * x) * sin(3.141592653589793 * y)",
+        ),
+        ("(sin(pi*x)*exp(-t))*(t*x)", "exp(-t) * t", "sin(3.141592653589793 * x) * x"),
+        ("sin(pi*x)", None, "sin(3.141592653589793 * x)"),
+        ("exp(-t)", "exp(-t)", "1.0"),
+        ("0", None, "0.0"),
+    ],
+)
+def test_split_time_factors_products(source, g, F):
+    tree = expr.parse(source)
+    g_tree, F_tree = expr.split_time(tree)
+    assert (g_tree and expr.to_source(g_tree)) == g
+    assert expr.to_source(F_tree) == F
+    x = np.linspace(0.0, 1.0, 7)[:, None]
+    y = np.linspace(0.0, 1.0, 5)[None, :]
+    for t in (0.0, 0.3, 1.7):
+        g_t = 1.0 if g_tree is None else expr.evaluate(g_tree, t=t)
+        np.testing.assert_allclose(
+            g_t * expr.evaluate(F_tree, x, y), expr.evaluate(tree, x, y, t),
+            rtol=1e-15, atol=1e-300,
+        )
+
+
+@pytest.mark.parametrize(
+    "source", ["sin(pi*x*t)", "t + sin(pi*x)", "sin(pi*x)/t", "t^x", "(t+x)*sin(pi*y)"]
+)
+def test_split_time_rejects_mixed_trees(source):
+    assert expr.split_time(expr.parse(source)) is None

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
-from damped_eb import damping, expr, harness
+from damped_eb import damping, expr, harness, stepper1d
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
-from damped_eb.stepper1d import Problem1D
+from damped_eb.stepper1d import Problem1D, run
 from damped_eb.stepper2d import Problem2D
 
 
@@ -128,3 +131,77 @@ def test_report_markdown_has_theory_row_and_formats():
     cells = [c.strip() for c in row_line.split("|")[1:-1]]
     assert cells[1] == f"{rep.rows[1].error:.5g}"
     assert cells[2] == f"{rep.rows[1].order:.2f}"
+
+
+SEPARABLE_F = [
+    "t^3*sin(pi*x)",
+    "-2*t*sin(pi*x)*sin(pi*y)",
+    "0.93*(t^3*sin(pi*x))",
+    "sin(pi*x)",
+    "exp(-t)",
+    "0",
+]
+MIXED_F = ["sin(pi*x*t)", "t + sin(pi*x)"]  # not g(t)*F(x): sampled every step
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=strategies.sampled_from([1, 2]),
+    J_list=strategies.sampled_from([[4, 8], [6, 12], [4, 6, 12], [4, 8, 16]]),
+    law=strategies.sampled_from(["sqrt", "linear", "2 + z/(1+z)"]),
+    f=strategies.sampled_from(SEPARABLE_F + MIXED_F),
+    N=strategies.integers(4, 40),
+)
+@example(dim=1, J_list=[4, 8, 16, 32], law="sqrt", f="t^3*sin(pi*x)", N=64)
+@example(dim=2, J_list=[6, 12], law="linear", f="sin(pi*x*t)", N=16)
+def test_spatial_study_terminals_equal_separate_runs(dim, J_list, law, f, N):
+    # one batched time loop steps every grid of the study; each grid's
+    # terminal field equals its own single-grid run
+    u0 = "sin(pi*x)" if dim == 1 else "sin(pi*x)*sin(pi*y)"
+    problem = (Problem1D if dim == 1 else Problem2D)(
+        expr.parse(u0),
+        expr.parse("0"),
+        expr.parse(f),
+        damping.law_from_spec(law),
+        1.0,
+    )
+    calls = []
+
+    def spy(*args):
+        out = stepper1d.run_batch(*args)
+        calls.append((args[1], out[0]))
+        return out
+
+    with mock.patch.object(harness, "run_batch", spy):
+        harness.spatial_study(problem, N, J_list)
+    ((grids, states),) = calls
+    Js = sorted(set(J_list) | {J // 2 for J in J_list})
+    assert [g.shape[0] for g in grids] == [2 * J + 1 for J in Js]
+    for grid, state in zip(grids, states):
+        alone, _ = run(problem, grid, TimeGrid(N, 1.0))
+        for name in ("U_curr", "V_curr"):
+            a, b = getattr(state, name), getattr(alone, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize(
+    "dim,law,failing",
+    [
+        (1, "1 - z", "Grid1D(J=2)"),  # every run fails; the first is named
+        (1, "48.6 - z", "Grid1D(J=4)"),  # q(J=2) > 0 > q(J=4) at n = 0
+        (2, "1 - z", "Grid2D(J1=2, J2=2)"),
+        (2, "97.2 - z", "Grid2D(J1=4, J2=4)"),
+    ],
+)
+def test_spatial_study_damping_error_names_the_failing_run(dim, law, failing):
+    zero = expr.parse("0")
+    u0 = expr.parse("sin(pi*x)" if dim == 1 else "sin(pi*x)*sin(pi*y)")
+    problem = (Problem1D if dim == 1 else Problem2D)(
+        u0, zero, zero, damping.law_from_spec(law), 1.0
+    )
+    with pytest.raises(damping.DampingError) as err:
+        harness.spatial_study(problem, 16, [4, 8])
+    message = str(err.value)
+    assert f"on {failing};" in message
+    assert f"law '{law}'" in message and "n = 0, t = 0 " in message
+    assert "q = -" in message and "z = ||V||^2 = " in message

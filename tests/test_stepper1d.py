@@ -9,6 +9,7 @@ from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
     Problem1D,
     StepperState1D,
+    _SineScheme,
     energy,
     init,
     mol_reference,
@@ -351,3 +352,110 @@ def test_fully_discrete_converges_to_mol_at_second_order():
         errors.append(mesh.norm(g, state.U_curr - U_ref))
     ratio = errors[0] / errors[1]
     assert 3.3 <= ratio <= 4.7
+
+
+# forcing of the form g(t) * F(x[, y]) is staged: F is transformed once per
+# grid, and a step scales it by g(t_n)
+STAGED = {
+    1: [
+        "t^3*sin(pi*x)",
+        "0.93*(t^3*sin(pi*x))",
+        "-(t^2)*x*(1-x)",
+        "sin(pi*x)",
+        "exp(-t)",
+        "0",
+    ],
+    2: ["t^3*sin(pi*x)*sin(pi*y)", "-2*t*sin(pi*x)*sin(pi*y)", "1.1*(exp(-t)*(x*y))"],
+}
+BATCHES = {
+    1: [Grid1D(2), Grid1D(5), Grid1D(16)],
+    2: [Grid2D(2, 3), Grid2D(4, 4), Grid2D(8, 5)],
+}
+
+
+@pytest.mark.parametrize(
+    "dim,source", [(dim, src) for dim, sources in STAGED.items() for src in sources]
+)
+def test_staged_forcing_matches_sampled_coefficients(dim, source):
+    tree = expr.parse(source)
+    assert expr.split_time(tree) is not None
+    grids = BATCHES[dim]
+    scheme = _SineScheme(grids, 0.1)
+    forcing = scheme.forcing(tree)
+    for t in (0.0, 0.37, 1.0):
+        f_hat, f_norm = forcing(t)
+        ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
+        assert np.max(np.abs(f_hat - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
+        assert f_norm == pytest.approx(norms, rel=1e-13, abs=1e-300)
+
+
+def test_staged_forcing_samples_only_at_startup(monkeypatch):
+    calls = []
+    sample = mesh.sample
+    monkeypatch.setattr(mesh, "sample", lambda *a: calls.append(a) or sample(*a))
+    counts = []
+    for N in (4, 16):
+        calls.clear()
+        run(forced_problem(), Grid1D(8), TimeGrid(N, 1.0))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]  # u0, u1 and the space factor of f
+    calls.clear()
+    mixed = dataclasses.replace(forced_problem(), f=expr.parse("sin(pi*x*t)"))
+    run(mixed, Grid1D(8), TimeGrid(16, 1.0))
+    assert len(calls) == counts[0] + 16  # sampled at every step
+
+
+@pytest.mark.parametrize(
+    "source,grid,message",
+    [
+        (
+            "sqrt(t-0.5)*sin(pi*x)",
+            Grid1D(4),
+            "invalid value encountered in sqrt at x=0.0, t=0.0",
+        ),
+        (
+            "sqrt(0.5-t)*sin(pi*x)",
+            Grid1D(4),
+            "invalid value encountered in sqrt at x=0.0, t=0.5555555555555556",
+        ),
+        (
+            "sin(pi*x)*sin(pi*y)*sqrt(t-0.5)",
+            Grid2D(2, 3),
+            "invalid value encountered in sqrt at x=0.0, y=0.0, t=0.0",
+        ),
+    ],
+)
+def test_staged_forcing_domain_error_names_the_node(source, grid, message):
+    # the same message, byte for byte, as sampling f at every step gives
+    problem_cls = Problem1D if len(grid.shape) == 1 else Problem2D
+    u0 = "sin(pi*x)" if len(grid.shape) == 1 else "sin(pi*x)*sin(pi*y)"
+    zero = expr.parse("0")
+    f = expr.parse(source)
+    prob = problem_cls(expr.parse(u0), zero, f, damping.sqrt_law(), 1.0)
+    with pytest.raises(expr.DomainError) as err:
+        run(prob, grid, TimeGrid(8, 1.0))
+    assert str(err.value) == message
+
+
+def test_batch_holds_grids_of_one_dimension():
+    with pytest.raises(ValueError, match="one dimension"):
+        _SineScheme([Grid1D(4), Grid2D(4, 4)], 0.1)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_batch_damping_integrals_match_simpson_norms(dim):
+    # a batch computes z per grid through flip permutations of the
+    # concatenated coefficients; with P(z) = z each q is that grid's norm
+    rng = np.random.default_rng(7)
+    grids, kind = BATCHES[dim], "b" if dim == 1 else "f"
+    fields = [
+        random_gridfn_1d(rng, g.J) if dim == 1 else random_gridfn_2d(rng, g.J1, g.J2)
+        for g in grids
+    ]
+    scheme = _SineScheme(grids, 0.1)
+    V = scheme.sine([u[g.interior] for u, g in zip(fields, grids)])
+    identity = damping.DampingLaw("identity", lambda z: z)
+    q = scheme.q(V, identity, 1)
+    norms = [mesh.norm(g, u, kind) ** 2 for g, u in zip(grids, fields)]
+    assert q == pytest.approx(norms, rel=1e-13)
