@@ -205,6 +205,14 @@ def _validate(cfg: RunConfig, command: str | None):
         v = getattr(cfg, key)
         if v is not None and (not v or any(n < 1 for n in v) or v != sorted(v)):
             raise ConfigError(f"{name}: {key} must be ascending positive integers")
+    if command == "spatial-study":
+        for key in ("J_list", "J_list_fast"):
+            v = getattr(cfg, key)
+            if v is not None and any(J < 4 or J % 2 for J in v):
+                raise ConfigError(
+                    f"{name}: {key} entries must be even and >= 4; spatial-study "
+                    f"compares grid J with grid J//2 at their shared nodes"
+                )
     if cfg.dimension == 1:
         for key in ("u0", "u1", "f", "lap_u0", "bilap_u0"):
             tree = getattr(cfg, key)

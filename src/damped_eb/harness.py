@@ -107,11 +107,13 @@ def spatial_study(
 
     Row J compares the run on grid J against the run on grid J//2 at the
     coarse grid's nodes, with the row grid's mesh width in the norm
-    weight.  All runs share the same time step and advance together in one
-    batched run.
+    weight; J must be even, or grids J and J//2 share no nodes.  All runs
+    share the same time step and advance together in one batched run.
     """
-    if list(J_list) != sorted(J_list) or J_list[0] < 4:
-        raise ValueError("J_list must be ascending with J >= 4")
+    if list(J_list) != sorted(J_list) or any(J < 4 or J % 2 for J in J_list):
+        raise ValueError(
+            f"J_list must be ascending with even J >= 4; got {list(J_list)}"
+        )
     Js = sorted(set(J_list) | {J // 2 for J in J_list})
     grids = [mesh.grid_for(problem.dimension, J) for J in Js]
     states = run_batch(problem, grids, TimeGrid(N, problem.T))[0]

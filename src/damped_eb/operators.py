@@ -16,16 +16,16 @@ modes: each acts on sine coefficients as multiplication by its symbol, and
 the step operators a*A^2 + (1/2)*D^2 and a*H^2 + (1/2)*Phi^2 are divided out
 elementwise (a fast direct solver in the sense of Buzbee, Golub & Nielson,
 SIAM J. Numer. Anal. 7, 1970, and Swarztrauber, SIAM Rev. 19, 1977).  The
-steppers run on those coefficients through :func:`_sine_symbols`; the
-stencils and the banded solves below are the nodal operators, which the
-method-of-lines reference and the tests use.
+steppers run on those coefficients through :func:`_sine_symbols` and
+:func:`_transform`; every nodal solve below (A, H and the 2D step) divides
+by its symbol in the same basis.  The stencils are the nodal operators,
+which the method-of-lines reference and the tests use.
 """
 from __future__ import annotations
 
 import functools
 
 import numpy as np
-from scipy import linalg as sla
 
 from .mesh import Grid1D
 
@@ -70,37 +70,6 @@ def apply_D(u: np.ndarray, h: float) -> np.ndarray:
     return _diff_along(u, 0, h)
 
 
-_COMPACT_FACTORS: dict[int, np.ndarray] = {}
-
-
-def _compact_factor(m: int) -> np.ndarray:
-    """Cached banded Cholesky factor of A (strictly diagonally dominant SPD)."""
-    fac = _COMPACT_FACTORS.get(m)
-    if fac is None:
-        ab = np.zeros((2, m))
-        ab[0, 1:] = 1.0 / 12.0
-        ab[1, :] = 10.0 / 12.0
-        fac = sla.cholesky_banded(ab, check_finite=False)
-        _COMPACT_FACTORS[m] = fac
-    return fac
-
-
-def _solve_along(b: np.ndarray, axis: int) -> np.ndarray:
-    """Solve the compact average along ``axis`` of interior values b
-    (banded Cholesky elimination)."""
-    b = np.moveaxis(b, axis, 0)
-    fac = _compact_factor(b.shape[0])
-    u = sla.cho_solve_banded((fac, False), b, check_finite=False)
-    return np.moveaxis(u, 0, axis)
-
-
-def solve_A(b: np.ndarray) -> np.ndarray:
-    """Solve A u = b for u with zero boundary (tridiagonal elimination)."""
-    out = np.zeros_like(b)
-    out[1:-1] = _solve_along(b[1:-1], 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sine (DST-I) basis: eigenvectors of A and D, and per axis of H and Phi
 
@@ -133,6 +102,28 @@ def _sine_symbols(ms) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     tensor = functools.partial(functools.reduce, np.multiply.outer)
     mu = sum(tensor(lams[:k] + (mus[k],) + lams[k + 1 :]) for k in range(len(ms)))
     return S, tensor(lams), mu
+
+
+def _transform(S: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Sine transform (its own inverse) along each spatial (trailing) axis."""
+    x = x @ S[-1]
+    return S[0] @ x if len(S) == 2 else x
+
+
+def _sine_solve(b: np.ndarray, symbol) -> np.ndarray:
+    """Solve L u = b for u with zero boundary, where L acts on the sine
+    coefficients of the interior as multiplication by ``symbol(lam, mu)``
+    (the symbols of :func:`_sine_symbols` on b's grid)."""
+    S, lam, mu = _sine_symbols([n - 2 for n in b.shape])
+    interior = (slice(1, -1),) * b.ndim
+    out = np.zeros_like(b)
+    out[interior] = _transform(S, _transform(S, b[interior]) / symbol(lam, mu))
+    return out
+
+
+def solve_A(b: np.ndarray) -> np.ndarray:
+    """Solve A u = b for u with zero boundary."""
+    return _sine_solve(b, lambda lam, mu: lam)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +163,8 @@ def apply_Phi(u: np.ndarray) -> np.ndarray:
 
 
 def solve_H(b: np.ndarray) -> np.ndarray:
-    """Solve H u = b via one tridiagonal sweep per direction."""
-    out = np.zeros_like(b)
-    out[1:-1, 1:-1] = _solve_along(_solve_along(b[1:-1, 1:-1], 0), 1)
-    return out
+    """Solve H u = b for u with zero boundary."""
+    return _sine_solve(b, lambda lam, mu: lam)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +175,4 @@ def solve_step_2d(a: float, rhs: np.ndarray) -> np.ndarray:
     symbol a*lamH^2 + (1/2)*lamPhi^2 is positive for a > 0."""
     if a <= 0:
         raise ValueError("2D step requires a > 0")
-    (S1, S2), lam_H, lam_Phi = _sine_symbols([n - 2 for n in rhs.shape])
-    symbol = a * lam_H * lam_H + 0.5 * lam_Phi * lam_Phi
-    out = np.zeros_like(rhs)
-    out[1:-1, 1:-1] = S1 @ ((S1 @ rhs[1:-1, 1:-1] @ S2) / symbol) @ S2
-    return out
+    return _sine_solve(rhs, lambda lam, mu: a * lam * lam + 0.5 * mu * mu)

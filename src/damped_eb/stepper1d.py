@@ -41,7 +41,7 @@ The module also carries the discrete energy
 which is non-increasing step by step when f = 0, the companion stability
 bound E^n <= E^0 + 2 tau sum ||f^j||, and an RK4 method-of-lines
 integrator for the spatially semi-discrete beam, used as an independent
-reference solution (stencils and banded solves only).
+reference solution (nodal stencils and solves of A only).
 """
 from __future__ import annotations
 
@@ -132,12 +132,6 @@ class StabilityReport:
     violations: list[tuple[int, float]]  # (index, excess above the bound)
 
 
-def _transform(S: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """Sine transform (its own inverse) along each spatial (trailing) axis."""
-    x = x @ S[-1]
-    return S[0] @ x if len(S) == 2 else x
-
-
 class _SineScheme:
     """The scheme on the sine coefficients of a batch of grids of one
     dimension, all stepped with the same tau.
@@ -197,7 +191,7 @@ class _SineScheme:
         """Coefficient vector of one interior nodal array per grid (leading
         axes kept)."""
         flat = [
-            _transform(S, x).reshape(x.shape[: x.ndim - len(S)] + (-1,))
+            operators._transform(S, x).reshape(x.shape[: x.ndim - len(S)] + (-1,))
             for S, x in zip(self.S, parts)
         ]
         return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
@@ -208,7 +202,7 @@ class _SineScheme:
         out = []
         for S, grid, block, shape in zip(self.S, self.grids, self.blocks, self.shapes):
             fields = np.zeros(lead + grid.shape)
-            fields[(Ellipsis,) + grid.interior] = _transform(
+            fields[(Ellipsis,) + grid.interior] = operators._transform(
                 S, coeffs[..., block].reshape(lead + shape)
             )
             out.append(fields)

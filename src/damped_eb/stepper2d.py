@@ -26,7 +26,6 @@ from .stepper1d import (
 
 __all__ = [
     "Problem2D",
-    "StepperState2D",
     "init2d",
     "step2d",
     "energy2d",
@@ -41,7 +40,6 @@ class Problem2D(Problem1D):
     dimension = 2
 
 
-StepperState2D = StepperState
 init2d = init
 run2d = run
 stability_check2d = stability_check

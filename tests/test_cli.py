@@ -269,6 +269,19 @@ def test_python_dash_m_runs_the_command(tmp_path):
     assert b"not found" in missing.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, damped_eb.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == b"False"
+
+
 def test_main_rejects_bad_config(tmp_path):
     path = write_cfg(tmp_path, TINY_1D.replace("dimension = 1", "dimension = 3"))
     assert main(["simulate", "--config", str(path)]) == 2
@@ -379,3 +392,25 @@ def test_one_dimensional_config_rejects_J2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "J2" in err[0] and "dimension = 1" in err[0]
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,study,args",
+    [
+        ("J_list", "J_list = 5, 10", []),
+        ("J_list", "J_list = 2, 4", []),
+        ("J_list_fast", "J_list = 4, 8\nJ_list_fast = 4, 6, 9", ["--profile", "fast"]),
+    ],
+    ids=["odd", "small", "odd-fast"],
+)
+def test_spatial_study_rejects_odd_or_small_J(tmp_path, capsys, key, study, args):
+    path = write_cfg(tmp_path, TINY_1D.replace("J_list = 4, 8", study))
+    out = tmp_path / "out"
+    code = main(["spatial-study", "--config", str(path), "--out", str(out), *args])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{key} entries must be even and >= 4" in err[0]
+    assert not out.exists()
+    # other commands do not read J_list
+    assert load_config(path, command="simulate").J_list is not None

@@ -66,6 +66,15 @@ def test_studies_reject_unordered_lists():
         harness.spatial_study(problem_1d(), 64, [2, 4])  # halved run needs J >= 2
 
 
+def test_spatial_study_rejects_odd_J_before_stepping():
+    # grids J and J//2 share nodes only for even J; the check runs before
+    # any grid is stepped
+    with mock.patch.object(harness, "run_batch", side_effect=AssertionError):
+        for J_list in ([5, 10], [4, 7], [6, 9, 12]):
+            with pytest.raises(ValueError, match=r"even J >= 4"):
+                harness.spatial_study(problem_1d(), 16, J_list)
+
+
 def test_zero_data_studies_give_zero_errors_and_no_orders():
     rep = harness.temporal_study(zero_problem_1d(), 4, [8, 16])
     assert all(row.error == 0.0 for row in rep.rows)

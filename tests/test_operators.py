@@ -80,11 +80,28 @@ def test_apply_D_zero():
     assert not operators.apply_D(np.zeros(9), 0.125).any()
 
 
-def test_solve_A_inverse_consistency():
+@pytest.mark.parametrize("J", [2, 8, 64])
+def test_solve_A_inverse_consistency(J):
     rng = np.random.default_rng(4)
-    u = random_gridfn_1d(rng, 8)
+    u = random_gridfn_1d(rng, J)
     recovered = operators.solve_A(operators.apply_A(u))
     assert np.max(np.abs(recovered - u)) <= 1e-14 * max(1.0, np.max(np.abs(u)))
+
+
+@pytest.mark.parametrize("J1,J2", [(4, None), (2, 3), (4, 6), (8, 5)])
+def test_compact_solves_dense_oracle(J1, J2):
+    # solve_A on a beam (J2 None), solve_H on a plate
+    rng = np.random.default_rng(7)
+    if J2 is None:
+        M, b = dense_compact(2 * J1 - 1), random_gridfn_1d(rng, J1)
+        u = operators.solve_A(b)
+    else:
+        M, b = dense_H(2 * J1 - 1, 2 * J2 - 1), random_gridfn_2d(rng, J1, J2)
+        u = operators.solve_H(b)
+    interior = (slice(1, -1),) * b.ndim
+    expected = np.linalg.solve(M, b[interior].ravel()).reshape(b[interior].shape)
+    assert rel(u[interior], expected) < 1e-13
+    assert not (u - np.pad(u[interior], 1)).any()  # zero boundary
 
 
 def test_solve_A_sine_mode_scaling():
@@ -196,9 +213,10 @@ def test_apply_Phi_sine_modes_against_dense():
         assert rel(out[1:-1, 1:-1], dense) < 1e-12
 
 
-def test_solve_H_inverse_consistency():
+@pytest.mark.parametrize("J1,J2", [(2, 3), (4, 6), (8, 5)])
+def test_solve_H_inverse_consistency(J1, J2):
     rng = np.random.default_rng(12)
-    u = random_gridfn_2d(rng, 4, 6)
+    u = random_gridfn_2d(rng, J1, J2)
     recovered = operators.solve_H(operators.apply_H(u))
     assert rel(recovered, u) < 1e-12
 
