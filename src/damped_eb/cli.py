@@ -40,14 +40,6 @@ from .stepper2d import Problem2D
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "execute", "main", "entry"]
 
-COMMANDS = (
-    "simulate",
-    "temporal-study",
-    "spatial-study",
-    "energy-study",
-    "validate-law",
-)
-
 ENERGY_TOL_1D = 1e-12
 ENERGY_TOL_2D = 1e-11
 STABILITY_TOL = 1e-10
@@ -57,17 +49,33 @@ class ConfigError(ValueError):
     pass
 
 
-_EXPR_KEYS = {"u0", "u1", "f", "lap_u0", "bilap_u0"}
-_INT_KEYS = {"dimension", "J", "J2", "N", "N_fast", "samples"}
-_FLOAT_KEYS = {"T", "law_p0", "z_max"}
-_LIST_KEYS = {"N_list", "N_list_fast", "J_list", "J_list_fast"}
+def _int_list(text: str) -> list[int]:
+    return [int(part.strip()) for part in text.split(",") if part.strip()]
 
-_SECTION_KEYS = {
-    "problem": {"dimension", "u0", "u1", "f", "lap_u0", "bilap_u0", "law", "law_p0"},
-    "grid": {"J", "J2"},
-    "time": {"N", "N_fast", "T"},
-    "study": {"N_list", "N_list_fast", "J_list", "J_list_fast", "z_max", "samples"},
-    "output": {"dir"},
+
+# section -> key -> parser of the key's text; each key is a RunConfig field.
+# Expression values (parsed by expr.parse) must be double-quoted; the others
+# may be.
+_KEYS = {
+    "problem": {
+        "dimension": int, "law": str, "law_p0": float,
+        "u0": expr_mod.parse, "u1": expr_mod.parse, "f": expr_mod.parse,
+        "lap_u0": expr_mod.parse, "bilap_u0": expr_mod.parse,
+    },
+    "grid": {"J": int, "J2": int},
+    "time": {"N": int, "N_fast": int, "T": float},
+    "study": {
+        "N_list": _int_list, "N_list_fast": _int_list,
+        "J_list": _int_list, "J_list_fast": _int_list,
+        "z_max": float, "samples": int,
+    },
+    "output": {"dir": str},
+}
+
+# study command -> (harness study kind, the refinement list it reads)
+_STUDY_LISTS = {
+    "temporal-study": ("temporal", "N_list"),
+    "spatial-study": ("spatial", "J_list"),
 }
 
 _REQUIRED = {
@@ -77,6 +85,7 @@ _REQUIRED = {
     "energy-study": ("dimension", "u0", "u1", "f", "law", "J", "N", "T"),
     "validate-law": ("law",),
 }
+COMMANDS = tuple(_REQUIRED)
 
 
 @dataclasses.dataclass
@@ -103,7 +112,7 @@ class RunConfig:
     J_list_fast: list[int] | None = None
     z_max: float | None = None
     samples: int | None = None
-    out_dir: str = "."
+    dir: str = "."
 
 
 def _strip_comment(line: str) -> str:
@@ -118,26 +127,20 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _convert(key: str, value: str, where: str):
-    if key in _EXPR_KEYS:
+def _convert(key: str, parse, value: str, where: str):
+    if parse is expr_mod.parse:
         if not (value.startswith('"') and value.endswith('"') and len(value) >= 2):
             raise ConfigError(f"{where}: expression value for {key} must be quoted")
         try:
-            return expr_mod.parse(value[1:-1])
+            return parse(value[1:-1])
         except expr_mod.ParseError as exc:
             raise ConfigError(f"{where}: bad expression for {key}: {exc}") from None
     if value.startswith('"') and value.endswith('"'):
         value = value[1:-1]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_KEYS:
-            return [int(part.strip()) for part in value.split(",") if part.strip()]
+        return parse(value)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {value!r} for {key}") from None
-    return value
 
 
 def load_config(path, command: str | None = None) -> RunConfig:
@@ -159,7 +162,7 @@ def load_config(path, command: str | None = None) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _KEYS:
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -167,10 +170,10 @@ def load_config(path, command: str | None = None) -> RunConfig:
         if section is None:
             raise ConfigError(f"{where}: key outside of any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[section]:
+        parse = _KEYS[section].get(key)
+        if parse is None:
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
-        attr = "out_dir" if key == "dir" else key
-        setattr(cfg, attr, _convert(key, value, where))
+        setattr(cfg, key, _convert(key, parse, value, where))
     _validate(cfg, command)
     return cfg
 
@@ -201,21 +204,18 @@ def _validate(cfg: RunConfig, command: str | None):
         v = getattr(cfg, key)
         if v is not None and v <= 0:
             raise ConfigError(f"{name}: {key} must be positive")
-    for key in ("N_list", "N_list_fast", "J_list", "J_list_fast"):
-        v = getattr(cfg, key)
-        if v is not None and (not v or any(n < 1 for n in v) or v != sorted(v)):
-            raise ConfigError(f"{name}: {key} must be ascending positive integers")
-    if command == "spatial-study":
-        for key in ("J_list", "J_list_fast"):
+    if command in _STUDY_LISTS:
+        kind, study_list = _STUDY_LISTS[command]
+        for key in (study_list, f"{study_list}_fast"):
             v = getattr(cfg, key)
-            if v is not None and any(J < 4 or J % 2 for J in v):
-                raise ConfigError(
-                    f"{name}: {key} entries must be even and >= 4; spatial-study "
-                    f"compares grid J with grid J//2 at their shared nodes"
-                )
+            if v is not None:
+                try:
+                    harness.check_refinements(kind, v, key)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
     if cfg.dimension == 1:
-        for key in ("u0", "u1", "f", "lap_u0", "bilap_u0"):
-            tree = getattr(cfg, key)
+        for key, parse in _KEYS["problem"].items():
+            tree = getattr(cfg, key) if parse is expr_mod.parse else None
             if tree is not None and expr_mod.uses_variable(tree, "y"):
                 raise ConfigError(
                     f"{name}: {key} uses variable y but dimension = 1"
@@ -224,7 +224,8 @@ def _validate(cfg: RunConfig, command: str | None):
         try:
             damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
         except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"{name}: bad law {cfg.law!r}: {exc}") from None
+            with_p0 = "" if cfg.law_p0 is None else f" with law_p0 = {cfg.law_p0:g}"
+            raise ConfigError(f"{name}: bad law {cfg.law!r}{with_p0}: {exc}") from None
     if command is not None:
         if command not in _REQUIRED:
             raise ConfigError(f"unknown command {command!r}")
@@ -338,7 +339,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
         return 2
     digest = hashlib.sha256(cfg.raw).hexdigest()
     comment = f"config sha256={digest} profile={profile}"
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir if out_dir is not None else cfg.dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -351,32 +352,12 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
             report = damping_mod.validate_law(
                 law, cfg.z_max or 100.0, cfg.samples or 1000
             )
-            _write_csv(
-                out / "report.csv",
-                comment,
-                [
-                    "law",
-                    "z_max",
-                    "samples",
-                    "p_min",
-                    "p_max",
-                    "lower_bound_violations",
-                    "monotonicity_violations",
-                    "lipschitz_violations",
-                ],
-                [
-                    (
-                        report.law,
-                        report.z_max,
-                        report.samples,
-                        report.p_min,
-                        report.p_max,
-                        len(report.lower_bound_violations),
-                        len(report.monotonicity_violations),
-                        len(report.lipschitz_violations),
-                    )
-                ],
-            )
+            # one column per LawReport field; a violation list is reported
+            # by its length
+            fields = [field.name for field in dataclasses.fields(report)]
+            values = [getattr(report, key) for key in fields]
+            row = [len(v) if isinstance(v, list) else v for v in values]
+            _write_csv(out / "report.csv", comment, fields, [row])
             status = "ok" if report.ok else "violations found (advisory)"
             print(f"validate-law {report.law}: {status}")
             return 0

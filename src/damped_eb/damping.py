@@ -76,16 +76,19 @@ def law_from_spec(spec: str, p0: float | None = None) -> DampingLaw:
 
     Names: ``constant`` (optionally ``constant:<c>``), ``linear`` (1+z),
     ``sqrt`` (sqrt(1+z)).  Anything else is parsed as an expression with
-    the variable z, e.g. ``"1/(1+z) + 2"``.
+    the variable z, e.g. ``"1/(1+z) + 2"``.  ``p0`` is the claimed lower
+    bound of an expression law; a named law carries its own, so passing
+    ``p0`` with a name raises ValueError.
     """
     text = spec.strip()
-    if text == "linear":
-        return linear_law()
-    if text == "sqrt":
-        return sqrt_law()
-    if text == "constant":
-        return constant_law()
-    if text.startswith("constant:"):
+    named = {"linear": linear_law, "sqrt": sqrt_law, "constant": constant_law}
+    if text in named or text.startswith("constant:"):
+        if p0 is not None:
+            raise ValueError(
+                "a named law sets its own p0; p0 applies to expression laws only"
+            )
+        if text in named:
+            return named[text]()
         return constant_law(float(text.split(":", 1)[1]))
     tree = expr_mod.parse(text, aliases={"z": "x"})
     return DampingLaw(text, lambda z: expr_mod.evaluate(tree, x=z), p0=p0)
@@ -145,13 +148,18 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
     """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
 
     Raises :class:`DampingError` when z is non-finite (the state stopped
-    being finite; P is not evaluated), when q_n is negative or non-finite,
-    which voids the scheme's stability (and, for a <= 0, its solvability),
-    or when q_n falls below the law's claimed lower bound p0.  The message
-    names ``grid`` (by its repr, e.g. ``Grid1D(J=8)``) when one is given,
-    so that a batch of runs says which run failed.
+    being finite; P is not evaluated), when q_n is negative or non-finite
+    (a law undefined at z, raising :class:`~damped_eb.expr.DomainError`,
+    counts as q_n = nan), which voids the scheme's stability (and, for
+    a <= 0, its solvability), or when q_n falls below the law's claimed
+    lower bound p0.  The message names ``grid`` (by its repr, e.g.
+    ``Grid1D(J=8)``) when one is given, so that a batch of runs says which
+    run failed.
     """
-    q = law(z) if math.isfinite(z) else math.nan
+    try:
+        q = law(z) if math.isfinite(z) else math.nan
+    except expr_mod.DomainError:
+        q = math.nan
     floor = max(0.0, law.p0 or 0.0)
     if not floor <= q < math.inf:
         on = "" if grid is None else f" on {grid!r}"
@@ -189,13 +197,21 @@ def validate_law(law: DampingLaw, z_max: float, samples: int = 1000) -> LawRepor
     """Sample P on [0, z_max] and report violations of its claimed bounds.
 
     Checks P >= p0 (when p0 given), monotone nondecrease, and the
-    Lipschitz bound on consecutive samples (when given).  Report only;
-    never raises.
+    Lipschitz bound on consecutive samples (when given).  Violations are
+    reported, not raised; raises ValueError on z_max <= 0 and
+    :class:`DampingError` naming the first sample z where P is undefined.
     """
     if z_max <= 0:
         raise ValueError("z_max must be positive")
     zs = np.linspace(0.0, z_max, max(2, samples))
-    ps = np.array([law(z) for z in zs])
+    ps = np.empty_like(zs)
+    for i, z in enumerate(zs):
+        try:
+            ps[i] = law(z)
+        except expr_mod.DomainError as exc:
+            raise DampingError(
+                f"law {law.name!r} is undefined at z = {z:.6g}: {exc}"
+            ) from None
     lower = []
     if law.p0 is not None:
         lower = [(float(z), float(p)) for z, p in zip(zs, ps) if p < law.p0]

@@ -1,4 +1,4 @@
-"""Refinement studies: self-convergence errors, observed orders, energy runs.
+"""Refinement studies: self-convergence errors and observed orders.
 
 Each table row is labeled by its own refinement parameter p (N in time,
 J in space) and its error compares the run at p against the run at the
@@ -18,15 +18,15 @@ import math
 import numpy as np
 
 from . import mesh
-from .mesh import Grid, TimeGrid
-from .stepper1d import EnergyRecord, run, run_batch
+from .mesh import TimeGrid
+from .stepper1d import run, run_batch
 
 __all__ = [
     "ReportRow",
     "ConvergenceReport",
+    "check_refinements",
     "temporal_study",
     "spatial_study",
-    "energy_study",
     "report_csv",
     "report_markdown",
 ]
@@ -50,11 +50,6 @@ class ConvergenceReport:
     profile: str = "paper"
 
 
-def _terminal(problem, grid: Grid, N: int) -> np.ndarray:
-    state, _ = run(problem, grid, TimeGrid(N, problem.T))
-    return state.U_curr
-
-
 def _orders(errors: list[float]) -> list[float | None]:
     out: list[float | None] = [None]
     for prev, cur in zip(errors, errors[1:]):
@@ -65,6 +60,24 @@ def _orders(errors: list[float]) -> list[float | None]:
     return out
 
 
+def check_refinements(kind: str, values, key: str) -> None:
+    """Raise ValueError unless ``values`` can be the refinement list ``key``
+    of a ``kind`` ("temporal" or "spatial") study: strictly ascending, each
+    N >= 2 resp. each J even and >= 4, as row p compares the runs at p and p//2.
+    """
+    values = list(values)
+    if kind == "temporal":
+        rule, ok = ">= 2", all(N >= 2 for N in values)
+        why = "row N compares the runs with N and N//2 steps"
+    else:
+        rule, ok = "even and >= 4", all(J >= 4 and J % 2 == 0 for J in values)
+        why = "row J compares grids J and J//2 at shared nodes: even J >= 4"
+    if not (values and ok and all(a < b for a, b in zip(values, values[1:]))):
+        raise ValueError(
+            f"{key} entries must be {rule} and strictly ascending; {why}; got {values}"
+        )
+
+
 def temporal_study(
     problem,
     J: int,
@@ -72,22 +85,17 @@ def temporal_study(
     J2: int | None = None,
     profile: str = "paper",
 ) -> ConvergenceReport:
-    """Error/order table over the ascending time refinements in ``N_list``.
+    """Error/order table over the strictly ascending time refinements in
+    ``N_list`` (:func:`check_refinements`).
 
     Row N holds the discrete L2 difference between the terminal fields of
     the N-step run and the (N//2)-step run; both end at t = T.
     """
-    if list(N_list) != sorted(N_list) or N_list[0] < 2:
-        raise ValueError("N_list must be ascending with N >= 2")
+    check_refinements("temporal", N_list, "N_list")
     grid = mesh.grid_for(problem.dimension, J, J2)
-    cache: dict[int, np.ndarray] = {}
-
-    def terminal(N):
-        if N not in cache:
-            cache[N] = _terminal(problem, grid, N)
-        return cache[N]
-
-    errors = [mesh.norm(grid, terminal(N) - terminal(N // 2)) for N in N_list]
+    Ns = sorted(set(N_list) | {N // 2 for N in N_list})
+    terminal = {N: run(problem, grid, TimeGrid(N, problem.T))[0].U_curr for N in Ns}
+    errors = [mesh.norm(grid, terminal[N] - terminal[N // 2]) for N in N_list]
     rows = [
         ReportRow(N, problem.T / (N + 1), problem.T / (N // 2 + 1), err, order)
         for N, err, order in zip(N_list, errors, _orders(errors))
@@ -103,17 +111,15 @@ def spatial_study(
     J_list: list[int],
     profile: str = "paper",
 ) -> ConvergenceReport:
-    """Error/order table over the ascending grid refinements in ``J_list``.
+    """Error/order table over the strictly ascending grid refinements in
+    ``J_list`` (:func:`check_refinements`).
 
     Row J compares the run on grid J against the run on grid J//2 at the
     coarse grid's nodes, with the row grid's mesh width in the norm
     weight; J must be even, or grids J and J//2 share no nodes.  All runs
     share the same time step and advance together in one batched run.
     """
-    if list(J_list) != sorted(J_list) or any(J < 4 or J % 2 for J in J_list):
-        raise ValueError(
-            f"J_list must be ascending with even J >= 4; got {list(J_list)}"
-        )
+    check_refinements("spatial", J_list, "J_list")
     Js = sorted(set(J_list) | {J // 2 for J in J_list})
     grids = [mesh.grid_for(problem.dimension, J) for J in Js]
     states = run_batch(problem, grids, TimeGrid(N, problem.T))[0]
@@ -133,12 +139,6 @@ def spatial_study(
     return ConvergenceReport(
         "spatial", dimension, problem.law.name, 4.0, rows, profile
     )
-
-
-def energy_study(problem, grid, tg: TimeGrid) -> list[EnergyRecord]:
-    """Single run collecting the energy sequence."""
-    _, records = run(problem, grid, tg)
-    return records
 
 
 def _fmt_error(e: float) -> str:

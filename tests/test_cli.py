@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -414,3 +415,62 @@ def test_spatial_study_rejects_odd_or_small_J(tmp_path, capsys, key, study, args
     assert not out.exists()
     # other commands do not read J_list
     assert load_config(path, command="simulate").J_list is not None
+
+
+def test_config_keys_are_the_run_config_fields():
+    # a key without a field, or a field without a key, would be set or
+    # dropped silently
+    keys = [key for section in cli._KEYS.values() for key in section]
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(fields) - {"path", "raw", "command"}
+
+
+def test_law_p0_with_a_named_law_exits_with_one_error_line(tmp_path, capsys):
+    text = TINY_1D.replace("law = sqrt", "law = sqrt\nlaw_p0 = 5")
+    path = write_cfg(tmp_path, text)
+    for command in ("simulate", "validate-law"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "law_p0" in err[0] and "expression laws only" in err[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,old,new",
+    [
+        ("temporal-study", "N_list = 8, 16", "N_list = 1, 2"),
+        ("temporal-study", "N_list = 8, 16", "N_list = 8, 8"),
+        ("temporal-study", "N_list = 8, 16", "N_list = 8, 16\nN_list_fast = 4, 4"),
+        ("spatial-study", "J_list = 4, 8", "J_list = 4, 4"),
+    ],
+    ids=["N-small", "N-repeated", "N-fast-repeated", "J-repeated"],
+)
+def test_study_rejects_refinement_list_before_running(
+    tmp_path, capsys, command, old, new
+):
+    path = write_cfg(tmp_path, TINY_1D.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    key = new.split("\n")[-1].split(" = ")[0]
+    assert f"{key} entries must be" in err[0] and "strictly ascending" in err[0]
+    assert not out.exists()
+
+
+def test_law_undefined_at_z_is_a_damping_error(tmp_path, capsys):
+    # zero data give z = 0 at n = 0, where sqrt(z - 1) is undefined
+    text = TINY_1D.replace('"sin(pi*x)"', '"0"').replace('"t^3*sin(pi*x)"', '"0"')
+    path = write_cfg(tmp_path, text.replace("law = sqrt", 'law = "sqrt(z - 1)"'))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DampingError:")
+    assert "n = 0, t = 0" in err[0] and "law 'sqrt(z - 1)'" in err[0]
+    assert main(["validate-law", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DampingError:")
+    assert "undefined at z = 0" in err[0]

@@ -151,6 +151,19 @@ def test_validate_law_rejects_bad_zmax():
         validate_law(linear_law(), 0.0)
 
 
+def test_validate_law_names_the_first_z_where_the_law_is_undefined():
+    match = r"'1/sqrt\(3 - z\)' is undefined at z = 3:"
+    with pytest.raises(damping.DampingError, match=match):
+        validate_law(law_from_spec("1/sqrt(3 - z)"), 10.0, samples=11)
+
+
+@pytest.mark.parametrize("name", ["linear", "sqrt", "constant", "constant:2"])
+def test_named_law_rejects_p0(name):
+    # a named law carries its own p0; a second one would be ignored
+    with pytest.raises(ValueError, match="expression laws only"):
+        law_from_spec(name, p0=5.0)
+
+
 def test_law_from_spec_names():
     assert law_from_spec("linear").name == "linear"
     assert law_from_spec("sqrt")(3.0) == 2.0
@@ -170,6 +183,7 @@ BAD_LAWS = [
     law_from_spec("-5"),
     law_from_spec("1 - z"),
     law_from_spec("0.5", p0=1.0),  # positive, but below its claimed bound
+    law_from_spec("sqrt(z - 1000)"),  # undefined at every z the runs reach
     damping.DampingLaw("nan", lambda z: np.nan),
     damping.DampingLaw("inf", lambda z: np.inf),
 ]

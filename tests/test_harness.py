@@ -64,6 +64,12 @@ def test_studies_reject_unordered_lists():
         harness.spatial_study(problem_1d(), 64, [8, 4])
     with pytest.raises(ValueError):
         harness.spatial_study(problem_1d(), 64, [2, 4])  # halved run needs J >= 2
+    # a repeated entry is no refinement; N = 1 has no halved run
+    for N_list in ([8, 8], [1, 2]):
+        with pytest.raises(ValueError, match="N_list entries must be"):
+            harness.temporal_study(problem_1d(), 8, N_list)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        harness.spatial_study(problem_1d(), 64, [4, 4])
 
 
 def test_spatial_study_rejects_odd_J_before_stepping():
@@ -97,9 +103,7 @@ def test_spatial_study_2d_smoke():
 
 
 def test_energy_study_collects_monotone_sequence():
-    records = harness.energy_study(
-        problem_1d(f="0"), Grid1D(8), TimeGrid(100, 1.0)
-    )
+    _, records = run(problem_1d(f="0"), Grid1D(8), TimeGrid(100, 1.0))
     assert len(records) == 101
     E = [r.E for r in records]
     assert all(b <= a + 1e-12 * (1 + E[0]) for a, b in zip(E, E[1:]))
@@ -108,7 +112,7 @@ def test_energy_study_collects_monotone_sequence():
 def test_energy_study_zero_data():
     z = expr.parse("0")
     prob = Problem2D(z, z, z, damping.linear_law(), 1.0)
-    records = harness.energy_study(prob, Grid2D(4, 4), TimeGrid(5, 1.0))
+    _, records = run(prob, Grid2D(4, 4), TimeGrid(5, 1.0))
     assert all(r.E == 0.0 for r in records)
 
 
