@@ -202,8 +202,8 @@ def _validate(cfg: RunConfig, command: str | None):
             raise ConfigError(f"{name}: {key} must be positive")
     for key in ("T", "z_max"):
         v = getattr(cfg, key)
-        if v is not None and v <= 0:
-            raise ConfigError(f"{name}: {key} must be positive")
+        if v is not None and not 0 < v < np.inf:
+            raise ConfigError(f"{name}: {key} must be positive and finite, got {v}")
     if command in _STUDY_LISTS:
         kind, study_list = _STUDY_LISTS[command]
         for key in (study_list, f"{study_list}_fast"):
@@ -340,6 +340,9 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
     digest = hashlib.sha256(cfg.raw).hexdigest()
     comment = f"config sha256={digest} profile={profile}"
     out = Path(out_dir if out_dir is not None else cfg.dir)
+    if command == "validate-law":  # sample P before making the directory
+        law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
+        report = damping_mod.validate_law(law, cfg.z_max or 100.0, cfg.samples or 1000)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -348,10 +351,6 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
     N, n_list, j_list = _resolve_profile(cfg, profile)
     try:
         if command == "validate-law":
-            law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
-            report = damping_mod.validate_law(
-                law, cfg.z_max or 100.0, cfg.samples or 1000
-            )
             # one column per LawReport field; a violation list is reported
             # by its length
             fields = [field.name for field in dataclasses.fields(report)]

@@ -42,16 +42,18 @@ class DampingError(ValueError):
 class DampingLaw:
     """Scalar law P: [0, inf) -> (0, inf).
 
-    ``p0`` is the claimed positive lower bound of P and ``lipschitz`` the
-    claimed bound on P'; either may be None when unknown (they are
-    hypotheses of the stability/convergence statements; :func:`validate_law`
-    samples both).  The steppers enforce that each z_n = ||V^n||^2 is
-    finite, so P is only evaluated on [0, inf), and that each q_n is
-    finite, >= 0 and, when p0 is given, >= p0 (:func:`q_checked`).
+    The steppers call ``func`` once per step on the ndarray of z, one per
+    grid; it may return a scalar, which holds for every grid.  ``p0`` is the
+    claimed positive lower bound of P and ``lipschitz`` the claimed bound on
+    P'; either may be None when unknown (they are hypotheses of the
+    stability/convergence statements; :func:`validate_law` samples both).
+    The steppers enforce that each z_n = ||V^n||^2 is finite, so P is only
+    evaluated on [0, inf), and that each q_n is finite, >= 0 and, when p0 is
+    given, >= p0 (:func:`q_checked`).
     """
 
     name: str
-    func: Callable[[float], float]
+    func: Callable[[np.ndarray], np.ndarray | float]
     p0: float | None = None
     lipschitz: float | None = None
 
@@ -78,8 +80,10 @@ def law_from_spec(spec: str, p0: float | None = None) -> DampingLaw:
     ``sqrt`` (sqrt(1+z)).  Anything else is parsed as an expression with
     the variable z, e.g. ``"1/(1+z) + 2"``.  ``p0`` is the claimed lower
     bound of an expression law; a named law carries its own, so passing
-    ``p0`` with a name raises ValueError.
+    ``p0`` with a name raises ValueError, as does a non-finite ``p0``.
     """
+    if p0 is not None and not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     text = spec.strip()
     named = {"linear": linear_law, "sqrt": sqrt_law, "constant": constant_law}
     if text in named or text.startswith("constant:"):

@@ -54,6 +54,8 @@ def _set_mesh(grid, axes: tuple[np.ndarray, ...], cell: float) -> None:
     grid.cell = cell
     grid.coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
     grid.interior = (slice(1, -1),) * len(axes)
+    grid.inside = np.zeros(grid.shape, dtype=bool)
+    grid.inside[grid.interior] = True
 
 
 @dataclasses.dataclass
@@ -148,9 +150,7 @@ def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
     except expr_mod.DomainError:
         _locate_domain_error(grid, f, t)
         raise
-    out = np.zeros(grid.shape)
-    out[grid.interior] = np.broadcast_to(values, grid.shape)[grid.interior]
-    return out
+    return np.where(grid.inside, values, 0.0)
 
 
 def _locate_domain_error(grid, f, t):

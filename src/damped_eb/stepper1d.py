@@ -25,10 +25,12 @@ Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
-one).  The grids' coefficients are concatenated into one vector, so a step
-is one elementwise update of the whole batch, with per-grid sums for z, E
-and ||f||.  A forcing f = g(t) F(x[, y]) is sampled and transformed once
-per grid, and a step scales F's coefficients by the scalar g(t_n).
+one).  The grids' coefficients are concatenated into one vector, and a
+step is: per-grid sums for z and E^2; one call of the law on the array of
+z, checked on Python floats; the forcing; and one elementwise update of
+the whole batch.  A forcing f = g(t) F(x[, y]) costs one product: F is
+sampled and transformed once per grid, and g evaluated once on all t_n.
+The energies' square roots are taken once, after the loop.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
@@ -46,7 +48,7 @@ reference solution (nodal stencils and solves of A only).
 from __future__ import annotations
 
 import dataclasses
-import functools
+import math
 import operator
 from typing import ClassVar
 
@@ -157,20 +159,24 @@ class _SineScheme:
         self.starts = ends - self.sizes
         self.blocks = [slice(a, b) for a, b in zip(self.starts, ends)]
         self.cell = np.array([g.cell for g in grids])
+        self.ones = np.ones(len(grids))
         # z's flip c -> flip(c) along each axis, as one index per axis into
         # the vector viewed as flip_shape: for a lone grid a reversed view of
         # its block (cheaper than a gather), for a batch a permutation.
-        # spread maps a sequence of per-grid scalars onto the blocks.
+        # Per-grid scalars (q_n and its factors) are arrays that spread maps
+        # onto the blocks; a lone grid's are floats, which broadcast.
         axes = range(-1, -1 - len(self.shapes[0]), -1)
-        if len(grids) == 1:
-            self.spread = operator.itemgetter(0)
+        self.lone = len(grids) == 1
+        if self.lone:
+            self.spread = float
             self.flip_shape = self.shapes[0]
             self.flips = [
                 (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
                 for axis in axes
             ]
         else:
-            self.spread = functools.partial(np.repeat, repeats=self.sizes)
+            owner = np.repeat(np.arange(len(grids)), self.sizes)
+            self.spread = operator.itemgetter(owner)
             self.flip_shape = (-1,)
             index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
             self.flips = [
@@ -185,7 +191,7 @@ class _SineScheme:
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
         # E^2 = sum over a block of cell*lam2/2*((2/tau^2) dUh^2 + Vh^2 + Vh-^2)
-        self.energy_weight = 0.5 * self.spread(self.cell) * self.lam2
+        self.energy_weight = 0.5 * np.repeat(self.cell, self.sizes) * self.lam2
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -218,68 +224,82 @@ class _SineScheme:
         fields = np.stack((state.U_prev, state.U_curr, state.V_prev, state.V_curr))
         return tuple(self.sine([fields[(Ellipsis,) + grid.interior]]))
 
-    def states(self, n: int, window, qs: list[float]) -> list[StepperState]:
-        """One nodal state per grid at index n."""
+    def states(self, n: int, window, q) -> list[StepperState]:
+        """One nodal state per grid at index n, given q_n per grid."""
         fields = self.nodal(np.stack(window))
-        return [StepperState(n, *f, q) for f, q in zip(fields, qs)]
+        qs = np.atleast_1d(q).tolist()
+        return [StepperState(n, *f, q_i) for f, q_i in zip(fields, qs)]
 
     def norms(self, u: np.ndarray) -> np.ndarray:
         """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
         return np.sqrt(self.cell * np.add.reduceat(u * u, self.starts))
 
-    def q(self, V: np.ndarray, law: DampingLaw, n: int) -> list[float]:
-        """q_n per grid from ||V||^2 in the Simpson norm, where
-        c -> c + flip(c)/3 along each axis."""
+    def q(self, V: np.ndarray, law: DampingLaw, n: int):
+        """q_n per grid (a float for a lone grid) from z = ||V||^2, where
+        c -> c + flip(c)/3 along each axis: one law call on every z, or
+        :func:`damped_eb.damping.q_checked` per grid, which raises, when a z
+        or q leaves the hypotheses."""
         w = V.reshape(self.flip_shape)
         for flip in self.flips:
             w = w + w[flip] / 3.0
-        sums = np.add.reduceat(V * w.reshape(-1), self.starts).tolist()
-        t = n * self.tau
-        return [
-            damping_mod.q_checked(grid.cell * s, law, n, t, grid)
-            for s, grid in zip(sums, self.grids)
-        ]
+        z = self.cell * np.add.reduceat(V * w.reshape(-1), self.starts)
+        zs, qs = z.tolist(), [math.nan]
+        if -math.inf < sum(zs) < math.inf:
+            try:
+                q = law.func(z) * self.ones  # a scalar law value broadcasts
+                qs = q.tolist()
+            except expr_mod.DomainError:
+                pass
+        if not max(0.0, law.p0 or 0.0) <= min(qs) <= sum(qs) < math.inf:
+            qs = [
+                damping_mod.q_checked(z_i, law, n, n * self.tau, grid)
+                for z_i, grid in zip(zs, self.grids)
+            ]
+            q = np.array(qs)
+        return qs[0] if self.lone else q
 
-    def forcing(self, f):
-        """The map t -> (coefficients of f(., t), ||f(., t)|| per grid).
+    def forcing(self, f, times: np.ndarray):
+        """The map n -> coefficients of f(., times[n]) on every grid, and the
+        array of ||f(., times[n])|| per grid, whose row n is written by the
+        time the map is called at n.
 
-        An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`)
-        is staged: F is sampled and transformed once, and each call
-        evaluates g on the scalar t.  A callable, any other tree, or an F
-        that leaves its domain is sampled and transformed on every grid at
-        each call.  A domain error of g(t) is raised by sampling f at t,
-        which names the failing node.
+        An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
+        staged: F is sampled and transformed once, g evaluated on all times,
+        and a call is one product.  Any other f, or a g or F that leaves its
+        domain, is sampled at each call (naming the node where it fails).
         """
+        norms = np.empty((len(times), len(self.grids)))
         split = expr_mod.split_time(f) if hasattr(f, "_eval") else None
         if split is not None:
             g, F = split
             try:
                 F_hat = self.sample(F, 0.0)
+                g_n = expr_mod.evaluate(g, t=times) if g else np.ones_like(times)
             except expr_mod.DomainError:
                 split = None
-        if split is None:
+        if split is not None:
+            np.multiply(np.abs(g_n)[:, None], self.norms(F_hat), out=norms)
+            return (lambda n: g_n[n] * F_hat), norms
+        if self.lone:
+            (grid,), (S,), cell = self.grids, self.S, self.cell.item()
 
-            def sampled(t):
-                f_hat = self.sample(f, t)
-                return f_hat, self.norms(f_hat)
+            def sampled(n):  # one transform and one dot product
+                x = mesh.sample(grid, f, times.item(n))[grid.interior]
+                f_hat = operators._transform(S, x).ravel()
+                norms[n] = math.sqrt(cell * np.vdot(f_hat, f_hat))
+                return f_hat
 
-            return sampled
-        F_norm = self.norms(F_hat)
-        if g is None:
-            return lambda t: (F_hat, F_norm)
+        else:
 
-        def staged(t):
-            try:
-                g_t = expr_mod.evaluate(g, t=t)
-            except expr_mod.DomainError:
-                mesh.sample(self.grids[0], f, t)
-                raise
-            return g_t * F_hat, abs(g_t) * F_norm
+            def sampled(n):
+                f_hat = self.sample(f, times.item(n))
+                norms[n] = self.norms(f_hat)
+                return f_hat
 
-        return staged
+        return sampled, norms
 
-    def start(self, problem, forcing) -> tuple[tuple[np.ndarray, ...], list[float]]:
-        """Startup window at n = 1 and q_0 per grid."""
+    def start(self, problem, f_hat: np.ndarray):
+        """Startup window at n = 1 and q_0 per grid, given f^0's coefficients."""
         tau = self.tau
         U0 = self.sample(problem.u0, 0.0)
         if problem.lap_u0 is not None:
@@ -292,7 +312,7 @@ class _SineScheme:
         else:
             bilap = self.AinvD * V0
         u1 = self.sample(problem.u1, 0.0)
-        u2 = -self.spread(q0) * u1 - bilap + forcing(0.0)[0]
+        u2 = -self.spread(q0) * u1 - bilap + f_hat
         U1 = U0 + tau * u1 + 0.5 * tau * tau * u2
         return (U0, U1, V0, self.AinvD * U1), q0
 
@@ -302,27 +322,27 @@ class _SineScheme:
         U_prev, U, V_prev, V = window
         q = self.q(V, law, n)
         r = 1.0 / (self.tau * self.tau)
-        c = [q_i / (2.0 * self.tau) for q_i in q]
+        c = self.spread(q / (2.0 * self.tau))
         combo = f_hat + (2.0 * r) * U
-        combo -= self.spread([r - c_i for c_i in c]) * U_prev
+        combo -= (r - c) * U_prev
         rhs = self.lam2 * combo
         rhs -= self.DA * V_prev
         rhs += self.half_mu2 * U_prev
-        U_next = rhs / (self.spread([r + c_i for c_i in c]) * self.lam2 + self.half_mu2)
+        U_next = rhs / ((r + c) * self.lam2 + self.half_mu2)
         V_next = U_next - U_prev
         V_next *= self.AinvD
         V_next += V_prev
         return (U, U_next, V, V_next), q
 
-    def energy(self, window) -> np.ndarray:
-        """E per grid of a window; by Parseval ||A u|| = ||lam * uh||."""
+    def squared_energy(self, window) -> np.ndarray:
+        """E^2 per grid of a window; by Parseval ||A u|| = ||lam * uh||."""
         U_prev, U, V_prev, V = window
         dU = U - U_prev
         e = (2.0 / (self.tau * self.tau)) * (dU * dU)
         e += V * V
         e += V_prev * V_prev
         e *= self.energy_weight
-        return np.sqrt(np.add.reduceat(e, self.starts))
+        return np.add.reduceat(e, self.starts)
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
@@ -332,7 +352,8 @@ def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _SineScheme([grid], tg.tau)
-    (state,) = scheme.states(1, *scheme.start(problem, scheme.forcing(problem.f)))
+    f_at, _ = scheme.forcing(problem.f, np.zeros(1))
+    (state,) = scheme.states(1, *scheme.start(problem, f_at(0)))
     return state
 
 
@@ -350,8 +371,8 @@ def step(
 def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
     scheme = _scheme_of(state, tau)
-    (E,) = scheme.energy(scheme.coefficients(state))
-    return EnergyRecord(state.n - 1, float(E))
+    (E2,) = scheme.squared_energy(scheme.coefficients(state)).tolist()
+    return EnergyRecord(state.n - 1, math.sqrt(E2))
 
 
 def run_batch(
@@ -364,8 +385,8 @@ def run_batch(
     each with the same time grid (ending at U^{N+1}, time T).
 
     All runs advance together in one time loop, on one vector of sine
-    coefficients; when f is a product g(t) * F(x[, y]) its space factor is
-    transformed once per grid.  Observers are callables invoked with each
+    coefficients; when f is a product g(t) * F(x[, y]), F is transformed
+    once per grid and g evaluated once per run.  Observers are called with each
     grid's state after startup and after every step.  Returns the final
     state of each grid, in the order of ``grids``, and two arrays of shape
     (N+1, len(grids)): the energy E^n of each grid and its running
@@ -381,21 +402,21 @@ def run_batch(
                 obs(state)
 
     energies = np.empty((tg.N + 1, len(grids)))
-    f_norms = np.zeros((tg.N + 1, len(grids)))
     # a state that overflows is stopped by the guard on z (DampingError);
     # silence the overflow warnings it raises on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = scheme.forcing(problem.f)
-        window, q = scheme.start(problem, forcing)
-        energies[0] = scheme.energy(window)
+        f_at, f_norms = scheme.forcing(problem.f, np.arange(tg.N + 1) * tau)
+        window, q = scheme.start(problem, f_at(0))
+        energies[0] = scheme.squared_energy(window)
         if observers:
             observe(1, window, q)
         for n in range(1, tg.N + 1):
-            f_hat, f_norms[n] = forcing(tg.t(n))
-            window, q = scheme.advance(window, f_hat, n, problem.law)
-            energies[n] = scheme.energy(window)
+            window, q = scheme.advance(window, f_at(n), n, problem.law)
+            energies[n] = scheme.squared_energy(window)
             if observers:
                 observe(n + 1, window, q)
+        np.sqrt(energies, out=energies)
+        f_norms[0] = 0.0  # the bound sums ||f^j|| over j >= 1
         bounds = energies[0] + 2.0 * tau * np.cumsum(f_norms, axis=0)
     return scheme.states(tg.N + 1, window, q), energies, bounds
 

@@ -474,3 +474,36 @@ def test_law_undefined_at_z_is_a_damping_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: DampingError:")
     assert "undefined at z = 0" in err[0]
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("T = 1", "T = nan", "T"),
+        ("T = 1", "T = inf", "T"),
+        ("law = sqrt", 'law = "0.5"\nlaw_p0 = nan', "law_p0"),
+    ],
+    ids=["T-nan", "T-inf", "law_p0-nan"],
+)
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, old, new, key):
+    # before, T = nan ran until a DampingError at t = nan, and law_p0 = nan
+    # dropped the floor on q (max(0, nan) is 0), so the run exited 0
+    path = write_cfg(tmp_path, TINY_1D.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run.cfg: ")
+    assert key in err[0] and "finite" in err[0]
+    assert not out.exists()
+
+
+def test_validate_law_leaves_no_directory_when_the_law_is_undefined(
+    tmp_path, capsys
+):
+    text = TINY_1D.replace("law = sqrt", 'law = "sqrt(z - 1)"')
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["validate-law", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DampingError:")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,13 @@ def test_named_law_rejects_p0(name):
     # a named law carries its own p0; a second one would be ignored
     with pytest.raises(ValueError, match="expression laws only"):
         law_from_spec(name, p0=5.0)
+
+
+@pytest.mark.parametrize("p0", [math.nan, math.inf, -math.inf])
+def test_expression_law_rejects_non_finite_p0(p0):
+    # a nan p0 would drop the floor on q: max(0, nan) is 0
+    with pytest.raises(ValueError, match="p0 must be finite"):
+        law_from_spec("0.5", p0=p0)
 
 
 def test_law_from_spec_names():

@@ -14,6 +14,7 @@ from damped_eb.stepper1d import (
     init,
     mol_reference,
     run,
+    run_batch,
     stability_check,
     step,
 )
@@ -381,9 +382,10 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     assert expr.split_time(tree) is not None
     grids = BATCHES[dim]
     scheme = _SineScheme(grids, 0.1)
-    forcing = scheme.forcing(tree)
-    for t in (0.0, 0.37, 1.0):
-        f_hat, f_norm = forcing(t)
+    times = np.array([0.0, 0.37, 1.0])
+    f_at, f_norms = scheme.forcing(tree, times)
+    for n, t in enumerate(times.tolist()):
+        f_hat, f_norm = f_at(n), f_norms[n]
         ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
         assert np.max(np.abs(f_hat - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
@@ -459,3 +461,102 @@ def test_batch_damping_integrals_match_simpson_norms(dim):
     q = scheme.q(V, identity, 1)
     norms = [mesh.norm(g, u, kind) ** 2 for g, u in zip(grids, fields)]
     assert q == pytest.approx(norms, rel=1e-13)
+
+
+def forced_batch(dim, f="t^3*sin(pi*x)", law=None):
+    u0 = "sin(pi*x)" if dim == 1 else "sin(pi*x)*sin(pi*y)"
+    problem_cls = Problem1D if dim == 1 else Problem2D
+    zero = expr.parse("0")
+    f = expr.parse(f) if isinstance(f, str) else f
+    return problem_cls(expr.parse(u0), zero, f, law or damping.sqrt_law(), 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_batch_evaluates_law_once_per_step(dim):
+    # one call on the array of z of every grid, not one call per grid
+    calls = []
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return np.sqrt(1.0 + z)
+
+    law = damping.DampingLaw("counting", counting, p0=1.0)
+    grids = [Grid1D(J) for J in (2, 3, 5, 8, 16)] if dim == 1 else BATCHES[2]
+    N = 12
+    run_batch(forced_batch(dim, law=law), grids, TimeGrid(N, 1.0))
+    assert calls == [(len(grids),)] * (N + 1)
+
+
+def test_staged_time_factor_evaluated_once(monkeypatch):
+    # g(t) = t^3 is evaluated on all times of a run at once, not per step
+    calls = []
+    evaluate = expr.evaluate
+
+    def spy(tree, *args, **kwargs):
+        if not (expr.uses_variable(tree, "x") or expr.uses_variable(tree, "y")):
+            calls.append(np.shape(kwargs.get("t", 0.0)))
+        return evaluate(tree, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "evaluate", spy)
+    for N in (4, 16):
+        calls.clear()
+        run(forced_problem(), Grid1D(8), TimeGrid(N, 1.0))
+        t_calls = [shape for shape in calls if shape]
+        assert t_calls == [(N + 1,)]
+
+
+def scalar_only(law):
+    """``law`` evaluated one z at a time: every step takes the per-grid
+    q_checked path."""
+
+    def func(z):
+        if isinstance(z, np.ndarray):
+            raise expr.DomainError("the reference takes one z at a time")
+        return law.func(z)
+
+    return dataclasses.replace(law, func=func)
+
+
+REFERENCE_LAWS = ["sqrt", "linear", "constant", "2 + z/(1+z)", "1/(1+z) + 2"]
+REFERENCE_F = {
+    1: [
+        "t^3*sin(pi*x)",  # staged
+        "sin(pi*x)",  # t-free
+        "sin(pi*x*t)",  # not separable
+        lambda x, t: np.sin(np.pi * x) * np.cos(t),  # callable
+    ],
+    2: [
+        "t^3*sin(pi*x)*sin(pi*y)",
+        "x*y*(1-x)",
+        "sin(pi*x*y*t)",
+        lambda x, y, t: x * y * np.cos(t),
+    ],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=strategies.sampled_from([1, 2]),
+    sizes=strategies.lists(strategies.integers(2, 9), min_size=1, max_size=4),
+    law=strategies.sampled_from(REFERENCE_LAWS),
+    kind=strategies.integers(0, 3),
+    N=strategies.integers(2, 24),
+)
+@example(dim=1, sizes=[2, 4, 8, 9], law="1/(1+z) + 2", kind=0, N=24)
+@example(dim=2, sizes=[2, 5, 3], law="constant", kind=2, N=8)
+def test_batch_matches_per_grid_q_checked_reference(dim, sizes, law, kind, N):
+    # the one law call per step on the array of z gives the q of a per-grid
+    # q_checked, so states, energies and bounds agree bit for bit
+    grids = [Grid1D(J) if dim == 1 else Grid2D(J, 11 - J) for J in sizes]
+    law = damping.law_from_spec(law)
+    problem = forced_batch(dim, REFERENCE_F[dim][kind], law)
+    reference = dataclasses.replace(problem, law=scalar_only(law))
+    tg = TimeGrid(N, 1.0)
+    states, energies, bounds = run_batch(problem, grids, tg)
+    ref_states, ref_energies, ref_bounds = run_batch(reference, grids, tg)
+    assert np.array_equal(energies, ref_energies)
+    assert np.array_equal(bounds, ref_bounds)
+    for state, ref in zip(states, ref_states):
+        assert state.q_curr == ref.q_curr and isinstance(state.q_curr, float)
+        for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name))
