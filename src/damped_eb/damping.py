@@ -30,6 +30,7 @@ __all__ = [
     "simpson_2d",
     "q_coefficient",
     "q_checked",
+    "q_batch",
     "validate_law",
 ]
 
@@ -43,7 +44,9 @@ class DampingLaw:
     """Scalar law P: [0, inf) -> (0, inf).
 
     The steppers call ``func`` once per step on the ndarray of z, one per
-    grid; it may return a scalar, which holds for every grid.  ``p0`` is the
+    grid; it may return a scalar, which holds for every grid.  A ``func``
+    that raises on the array (one written for floats, say) is called per
+    grid on floats instead (:func:`q_batch`).  ``p0`` is the
     claimed positive lower bound of P and ``lipschitz`` the claimed bound on
     P'; either may be None when unknown (they are hypotheses of the
     stability/convergence statements; :func:`validate_law` samples both).
@@ -165,7 +168,7 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
     except expr_mod.DomainError:
         q = math.nan
     floor = max(0.0, law.p0 or 0.0)
-    if not floor <= q < math.inf:
+    if not _admissible(z, q, floor):
         on = "" if grid is None else f" on {grid!r}"
         raise DampingError(
             f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
@@ -173,6 +176,31 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
             f"and >= {floor:g}"
         )
     return q
+
+
+def _admissible(z: float, q: float, floor: float) -> bool:
+    return math.isfinite(z) and floor <= q < math.inf
+
+
+def q_batch(z: np.ndarray, law: DampingLaw, n: int, t: float, grids) -> np.ndarray:
+    """q_n per grid of a batch of runs, z holding ||V^n||^2 per grid.
+
+    Calls ``law.func`` once on the array z.  When that call raises, or any
+    grid's z or q fails the checks of :func:`q_checked`, every grid's q_n
+    is taken by :func:`q_checked` instead, which raises its
+    :class:`DampingError` for the first grid that fails.
+    """
+    zs = z.tolist()
+    floor = max(0.0, law.p0 or 0.0)
+    try:
+        q = np.asarray(law.func(z), dtype=float)
+        if q.shape != z.shape:  # a scalar law value holds for every grid
+            q = np.full(z.shape, q)
+        if all(_admissible(z_i, q_i, floor) for z_i, q_i in zip(zs, q.tolist())):
+            return q
+    except Exception:  # a DomainError, or a law that takes floats only
+        pass
+    return np.array([q_checked(z_i, law, n, t, g) for z_i, g in zip(zs, grids)])
 
 
 @dataclasses.dataclass

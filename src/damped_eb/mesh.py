@@ -54,8 +54,6 @@ def _set_mesh(grid, axes: tuple[np.ndarray, ...], cell: float) -> None:
     grid.cell = cell
     grid.coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
     grid.interior = (slice(1, -1),) * len(axes)
-    grid.inside = np.zeros(grid.shape, dtype=bool)
-    grid.inside[grid.interior] = True
 
 
 @dataclasses.dataclass
@@ -150,7 +148,9 @@ def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
     except expr_mod.DomainError:
         _locate_domain_error(grid, f, t)
         raise
-    return np.where(grid.inside, values, 0.0)
+    out = np.zeros(grid.shape)
+    out[grid.interior] = np.broadcast_to(values, grid.shape)[grid.interior]
+    return out
 
 
 def _locate_domain_error(grid, f, t):

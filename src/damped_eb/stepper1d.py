@@ -159,16 +159,14 @@ class _SineScheme:
         self.starts = ends - self.sizes
         self.blocks = [slice(a, b) for a, b in zip(self.starts, ends)]
         self.cell = np.array([g.cell for g in grids])
-        self.ones = np.ones(len(grids))
         # z's flip c -> flip(c) along each axis, as one index per axis into
         # the vector viewed as flip_shape: for a lone grid a reversed view of
         # its block (cheaper than a gather), for a batch a permutation.
-        # Per-grid scalars (q_n and its factors) are arrays that spread maps
-        # onto the blocks; a lone grid's are floats, which broadcast.
+        # spread maps the array of q_n per grid onto the blocks; a lone
+        # grid's is taken as a float, which broadcasts.
         axes = range(-1, -1 - len(self.shapes[0]), -1)
-        self.lone = len(grids) == 1
-        if self.lone:
-            self.spread = float
+        if len(grids) == 1:
+            self.spread = np.ndarray.item
             self.flip_shape = self.shapes[0]
             self.flips = [
                 (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
@@ -227,36 +225,20 @@ class _SineScheme:
     def states(self, n: int, window, q) -> list[StepperState]:
         """One nodal state per grid at index n, given q_n per grid."""
         fields = self.nodal(np.stack(window))
-        qs = np.atleast_1d(q).tolist()
-        return [StepperState(n, *f, q_i) for f, q_i in zip(fields, qs)]
+        return [StepperState(n, *f, q_i) for f, q_i in zip(fields, q.tolist())]
 
     def norms(self, u: np.ndarray) -> np.ndarray:
         """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
         return np.sqrt(self.cell * np.add.reduceat(u * u, self.starts))
 
-    def q(self, V: np.ndarray, law: DampingLaw, n: int):
-        """q_n per grid (a float for a lone grid) from z = ||V||^2, where
-        c -> c + flip(c)/3 along each axis: one law call on every z, or
-        :func:`damped_eb.damping.q_checked` per grid, which raises, when a z
-        or q leaves the hypotheses."""
+    def q(self, V: np.ndarray, law: DampingLaw, n: int) -> np.ndarray:
+        """q_n per grid from z = ||V||^2 (:func:`damped_eb.damping.q_batch`),
+        where c -> c + flip(c)/3 along each axis."""
         w = V.reshape(self.flip_shape)
         for flip in self.flips:
             w = w + w[flip] / 3.0
         z = self.cell * np.add.reduceat(V * w.reshape(-1), self.starts)
-        zs, qs = z.tolist(), [math.nan]
-        if -math.inf < sum(zs) < math.inf:
-            try:
-                q = law.func(z) * self.ones  # a scalar law value broadcasts
-                qs = q.tolist()
-            except expr_mod.DomainError:
-                pass
-        if not max(0.0, law.p0 or 0.0) <= min(qs) <= sum(qs) < math.inf:
-            qs = [
-                damping_mod.q_checked(z_i, law, n, n * self.tau, grid)
-                for z_i, grid in zip(zs, self.grids)
-            ]
-            q = np.array(qs)
-        return qs[0] if self.lone else q
+        return damping_mod.q_batch(z, law, n, n * self.tau, self.grids)
 
     def forcing(self, f, times: np.ndarray):
         """The map n -> coefficients of f(., times[n]) on every grid, and the
@@ -280,21 +262,11 @@ class _SineScheme:
         if split is not None:
             np.multiply(np.abs(g_n)[:, None], self.norms(F_hat), out=norms)
             return (lambda n: g_n[n] * F_hat), norms
-        if self.lone:
-            (grid,), (S,), cell = self.grids, self.S, self.cell.item()
 
-            def sampled(n):  # one transform and one dot product
-                x = mesh.sample(grid, f, times.item(n))[grid.interior]
-                f_hat = operators._transform(S, x).ravel()
-                norms[n] = math.sqrt(cell * np.vdot(f_hat, f_hat))
-                return f_hat
-
-        else:
-
-            def sampled(n):
-                f_hat = self.sample(f, times.item(n))
-                norms[n] = self.norms(f_hat)
-                return f_hat
+        def sampled(n):
+            f_hat = self.sample(f, times.item(n))
+            norms[n] = self.norms(f_hat)
+            return f_hat
 
         return sampled, norms
 
@@ -322,7 +294,7 @@ class _SineScheme:
         U_prev, U, V_prev, V = window
         q = self.q(V, law, n)
         r = 1.0 / (self.tau * self.tau)
-        c = self.spread(q / (2.0 * self.tau))
+        c = self.spread(q) / (2.0 * self.tau)
         combo = f_hat + (2.0 * r) * U
         combo -= (r - c) * U_prev
         rhs = self.lam2 * combo

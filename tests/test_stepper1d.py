@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -505,6 +506,30 @@ def test_staged_time_factor_evaluated_once(monkeypatch):
         assert t_calls == [(N + 1,)]
 
 
+@pytest.mark.parametrize(
+    "func, array_func",
+    [
+        (lambda z: math.sqrt(1.0 + z), lambda z: np.sqrt(1.0 + z)),
+        (lambda z: 2.0 if z < 5.0 else 3.0, lambda z: np.where(z < 5.0, 2.0, 3.0)),
+    ],
+    ids=["math-sqrt", "branch"],
+)
+@pytest.mark.parametrize("sizes", [(2, 4, 8), (8,)], ids=["batch", "lone"])
+def test_law_of_floats_only_is_evaluated_per_grid(func, array_func, sizes):
+    # a law written for floats, which may raise on the array of z, gives the
+    # run of the same law written for arrays
+    grids = [Grid1D(J) for J in sizes]
+    tg = TimeGrid(16, 1.0)
+    floats = run_batch(forced_batch(1, law=damping.DampingLaw("f", func, 1.0)), grids, tg)
+    arrays = run_batch(
+        forced_batch(1, law=damping.DampingLaw("a", array_func, 1.0)), grids, tg
+    )
+    assert np.array_equal(floats[1], arrays[1])
+    assert np.array_equal(floats[2], arrays[2])
+    for state, ref in zip(floats[0], arrays[0]):
+        assert state.q_curr == ref.q_curr
+
+
 def scalar_only(law):
     """``law`` evaluated one z at a time: every step takes the per-grid
     q_checked path."""
@@ -517,7 +542,15 @@ def scalar_only(law):
     return dataclasses.replace(law, func=func)
 
 
-REFERENCE_LAWS = ["sqrt", "linear", "constant", "2 + z/(1+z)", "1/(1+z) + 2"]
+REFERENCE_LAWS = [
+    "sqrt",
+    "linear",
+    "constant",
+    "2 + z/(1+z)",
+    "1/(1+z) + 2",
+    "1 + z^0.5",
+    "2 + exp(-z)",
+]
 REFERENCE_F = {
     1: [
         "t^3*sin(pi*x)",  # staged
