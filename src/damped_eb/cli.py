@@ -289,8 +289,49 @@ def _energy_svg(records, caption: str) -> str:
 """
 
 
+def _write_study(out: Path, comment: str, report, profile: str) -> None:
+    """report.csv (full-precision floats) and report.md of a refinement study."""
+    param, step = ("N", "tau") if report.kind == "temporal" else ("J", "h")
+    _write_csv(
+        out / "report.csv",
+        comment,
+        [param, step, f"{step}_pair", "error", "order"],
+        [(r.param, r.step, r.step_pair, r.error, r.order) for r in report.rows],
+    )
+    (out / "report.md").write_text(_report_markdown(report, profile), encoding="utf-8")
+
+
+def _report_markdown(report, profile: str) -> str:
+    """Markdown table mirroring the CSV, with a closing theory-order row:
+    errors to 5 significant digits, orders to two decimals, spatial rows
+    labeled by 2J."""
+    title = (
+        f"{report.kind.capitalize()} refinement study ({report.dimension}D, law "
+        f"{report.law_name}, profile {profile})"
+    )
+    temporal = report.kind == "temporal"
+    head = "| N | error | order |" if temporal else "| 2J | error | order |"
+    lines = [title, "", head, "|---|---|---|"]
+    for r in report.rows:
+        label = r.param if temporal else 2 * r.param
+        order = "*" if r.order is None else f"{r.order:.2f}"
+        lines.append(f"| {label} | {r.error:.5g} | {order} |")
+    lines.append(f"| Theory |  | {report.theory_order:.2f} |")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # command execution
+
+def _make_dir(out: Path) -> bool:
+    """Create the output directory; on failure print why and return False."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return False
+    return True
+
 
 def _resolve_profile(cfg: RunConfig, profile: str):
     if profile == "fast":
@@ -340,17 +381,14 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
     digest = hashlib.sha256(cfg.raw).hexdigest()
     comment = f"config sha256={digest} profile={profile}"
     out = Path(out_dir if out_dir is not None else cfg.dir)
-    if command == "validate-law":  # sample P before making the directory
-        law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
-        report = damping_mod.validate_law(law, cfg.z_max or 100.0, cfg.samples or 1000)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    N, n_list, j_list = _resolve_profile(cfg, profile)
-    try:
-        if command == "validate-law":
+        if command == "validate-law":  # sample P before making the directory
+            law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
+            report = damping_mod.validate_law(
+                law, cfg.z_max or 100.0, cfg.samples or 1000
+            )
+            if not _make_dir(out):
+                return 1
             # one column per LawReport field; a violation list is reported
             # by its length
             fields = [field.name for field in dataclasses.fields(report)]
@@ -361,20 +399,16 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
             print(f"validate-law {report.law}: {status}")
             return 0
 
+        if not _make_dir(out):
+            return 1
+        N, n_list, j_list = _resolve_profile(cfg, profile)
         problem = _build_problem(cfg)
-        if command in ("temporal-study", "spatial-study"):
+        if command in _STUDY_LISTS:
             if command == "temporal-study":
-                report = harness.temporal_study(
-                    problem, cfg.J, n_list, J2=cfg.J2, profile=profile
-                )
+                report = harness.temporal_study(problem, cfg.J, n_list, J2=cfg.J2)
             else:
-                report = harness.spatial_study(problem, N, j_list, profile=profile)
-            (out / "report.csv").write_text(
-                f"# {comment}\n" + harness.report_csv(report), encoding="utf-8"
-            )
-            (out / "report.md").write_text(
-                harness.report_markdown(report), encoding="utf-8"
-            )
+                report = harness.spatial_study(problem, N, j_list)
+            _write_study(out, comment, report, profile)
             return 0
 
         # simulate / energy-study share the single run

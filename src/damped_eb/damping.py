@@ -65,6 +65,9 @@ class DampingLaw:
 
 
 def constant_law(c: float = 1.0) -> DampingLaw:
+    """P = c; raises ValueError unless c is finite and >= 0."""
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"constant law needs a finite c >= 0, got {c:g}")
     return DampingLaw(f"constant:{c:g}", lambda z: c, p0=c, lipschitz=0.0)
 
 
@@ -101,46 +104,32 @@ def law_from_spec(spec: str, p0: float | None = None) -> DampingLaw:
     return DampingLaw(text, lambda z: expr_mod.evaluate(tree, x=z), p0=p0)
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights h/3 * (1, 4, 2, ..., 2, 4, 1) on n nodes."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return (h / 3.0) * w
+
+
 def simpson_1d(values: np.ndarray, h: float) -> float:
     """Composite Simpson integral of nodal ``values`` (odd length 2J+1)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] % 2 == 0 or values.shape[0] < 3:
         raise ValueError("simpson_1d needs an odd number (>= 3) of nodes")
-    return (h / 3.0) * float(
-        np.sum(values[0:-2:2]) + 4.0 * np.sum(values[1:-1:2]) + np.sum(values[2::2])
-    )
+    return float(_simpson_weights(values.shape[0], h) @ values)
 
 
-def simpson_2d(
-    values: np.ndarray, h1: float, h2: float, reduced: bool = True
-) -> float:
-    """Composite 2D Simpson integral over panels of size 2*h1 x 2*h2.
-
-    ``reduced=True`` uses the four-coefficient per-panel sum that drops
-    every node on the top/right panel edges; it equals the full nine-point
-    rule whenever the integrand vanishes on the boundary of the square.
-    Pass ``reduced=False`` for general integrands.
-    """
+def simpson_2d(values: np.ndarray, h1: float, h2: float) -> float:
+    """Composite 2D Simpson integral over panels of size 2*h1 x 2*h2: the
+    nine-point tensor rule w1 @ values @ w2 of the 1D Simpson weights."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] % 2 == 0 or v.shape[1] % 2 == 0:
         raise ValueError("simpson_2d needs odd node counts in both directions")
     if min(v.shape) < 3:
         raise ValueError("simpson_2d needs at least 3 nodes per direction")
-    if reduced:
-        s = (
-            4.0 * np.sum(v[0:-1:2, 0:-1:2])
-            + 8.0 * np.sum(v[0:-1:2, 1::2])
-            + 8.0 * np.sum(v[1::2, 0:-1:2])
-            + 16.0 * np.sum(v[1::2, 1::2])
-        )
-        return h1 * h2 / 9.0 * float(s)
-    weights = ((1.0, 4.0, 1.0), (4.0, 16.0, 4.0), (1.0, 4.0, 1.0))
-    m1, m2 = v.shape[0] - 2, v.shape[1] - 2  # panel starts run 0..m-1 step 2
-    s = 0.0
-    for di, row in enumerate(weights):
-        for dj, w in enumerate(row):
-            s += w * float(np.sum(v[di : di + m1 : 2, dj : dj + m2 : 2]))
-    return h1 * h2 / 9.0 * s
+    w1, w2 = (_simpson_weights(n, h) for n, h in zip(v.shape, (h1, h2)))
+    return float(w1 @ v @ w2)
 
 
 def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:

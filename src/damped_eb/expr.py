@@ -31,7 +31,6 @@ __all__ = [
     "DomainError",
     "parse",
     "evaluate",
-    "to_source",
     "uses_variable",
     "split_time",
 ]
@@ -297,38 +296,3 @@ def split_time(expr: Expression) -> tuple[Expression | None, Expression] | None:
         product(spatial) if spatial else Const(1.0)
     )
 
-
-def _source(expr: Expression) -> tuple[str, int]:
-    """Render a subtree; returns (text, precedence of its top node)."""
-    if isinstance(expr, Const):
-        return repr(expr.value), 100
-    if isinstance(expr, Var):
-        return expr.name, 100
-    if isinstance(expr, Call):
-        return f"{expr.func}({_source(expr.arg)[0]})", 100
-    if isinstance(expr, Neg):
-        text, prec = _source(expr.operand)
-        if prec < _UNARY_PREC:
-            text = f"({text})"
-        return f"-{text}", _UNARY_PREC
-    prec = _BINARY_PREC[expr.op]
-    ltext, lprec = _source(expr.left)
-    rtext, rprec = _source(expr.right)
-    if expr.op in _RIGHT_ASSOC:
-        # right-assoc: parenthesize an equal-precedence *left* child
-        if lprec <= prec:
-            ltext = f"({ltext})"
-        if rprec < prec:
-            rtext = f"({rtext})"
-    else:
-        if lprec < prec:
-            ltext = f"({ltext})"
-        # -, / are left-assoc: an equal-precedence right child needs parens
-        if rprec <= prec:
-            rtext = f"({rtext})"
-    return f"{ltext} {expr.op} {rtext}", prec
-
-
-def to_source(expr: Expression) -> str:
-    """Render the tree as parseable text (round-trips through :func:`parse`)."""
-    return _source(expr)[0]

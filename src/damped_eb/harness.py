@@ -9,6 +9,7 @@ on T.  Spatial rows share one N (hence one tau), so every grid of a spatial
 study (each J and each J//2) steps in one batched time loop
 (:func:`damped_eb.stepper1d.run_batch`); rows are compared at coincident
 nodes (coarse j <-> fine 2j), weighted by the row grid's mesh width.
+The studies return numbers; the CLI writes them as report.csv and report.md.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ __all__ = [
     "check_refinements",
     "temporal_study",
     "spatial_study",
-    "report_csv",
-    "report_markdown",
 ]
 
 @dataclasses.dataclass
@@ -47,7 +46,6 @@ class ConvergenceReport:
     law_name: str
     theory_order: float
     rows: list[ReportRow]
-    profile: str = "paper"
 
 
 def _orders(errors: list[float]) -> list[float | None]:
@@ -79,11 +77,7 @@ def check_refinements(kind: str, values, key: str) -> None:
 
 
 def temporal_study(
-    problem,
-    J: int,
-    N_list: list[int],
-    J2: int | None = None,
-    profile: str = "paper",
+    problem, J: int, N_list: list[int], J2: int | None = None
 ) -> ConvergenceReport:
     """Error/order table over the strictly ascending time refinements in
     ``N_list`` (:func:`check_refinements`).
@@ -94,23 +88,17 @@ def temporal_study(
     check_refinements("temporal", N_list, "N_list")
     grid = mesh.grid_for(problem.dimension, J, J2)
     Ns = sorted(set(N_list) | {N // 2 for N in N_list})
-    terminal = {N: run(problem, grid, TimeGrid(N, problem.T))[0].U_curr for N in Ns}
+    tgs = {N: TimeGrid(N, problem.T) for N in Ns}
+    terminal = {N: run(problem, grid, tg)[0].U_curr for N, tg in tgs.items()}
     errors = [mesh.norm(grid, terminal[N] - terminal[N // 2]) for N in N_list]
     rows = [
-        ReportRow(N, problem.T / (N + 1), problem.T / (N // 2 + 1), err, order)
+        ReportRow(N, tgs[N].tau, tgs[N // 2].tau, err, order)
         for N, err, order in zip(N_list, errors, _orders(errors))
     ]
-    return ConvergenceReport(
-        "temporal", problem.dimension, problem.law.name, 2.0, rows, profile
-    )
+    return ConvergenceReport("temporal", problem.dimension, problem.law.name, 2.0, rows)
 
 
-def spatial_study(
-    problem,
-    N: int,
-    J_list: list[int],
-    profile: str = "paper",
-) -> ConvergenceReport:
+def spatial_study(problem, N: int, J_list: list[int]) -> ConvergenceReport:
     """Error/order table over the strictly ascending grid refinements in
     ``J_list`` (:func:`check_refinements`).
 
@@ -136,48 +124,5 @@ def spatial_study(
         ReportRow(J, 1.0 / (2 * J), 1.0 / J, err, order)
         for J, err, order in zip(J_list, errors, _orders(errors))
     ]
-    return ConvergenceReport(
-        "spatial", dimension, problem.law.name, 4.0, rows, profile
-    )
+    return ConvergenceReport("spatial", dimension, problem.law.name, 4.0, rows)
 
-
-def _fmt_error(e: float) -> str:
-    return f"{e:.5g}"
-
-
-def _fmt_order(o: float | None) -> str:
-    return "*" if o is None else f"{o:.2f}"
-
-
-def report_csv(report: ConvergenceReport) -> str:
-    """CSV body (header plus one row per refinement, full-precision floats)."""
-    param = "N" if report.kind == "temporal" else "J"
-    step = "tau" if report.kind == "temporal" else "h"
-    lines = [f"{param},{step},{step}_pair,error,order"]
-    for r in report.rows:
-        order = "" if r.order is None else repr(float(r.order))
-        lines.append(
-            f"{r.param},{float(r.step)!r},{float(r.step_pair)!r},"
-            f"{float(r.error)!r},{order}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_markdown(report: ConvergenceReport) -> str:
-    """Markdown table mirroring the CSV, with a closing theory-order row."""
-    dim = f"{report.dimension}D"
-    title = (
-        f"{report.kind.capitalize()} refinement study ({dim}, law "
-        f"{report.law_name}, profile {report.profile})"
-    )
-    if report.kind == "temporal":
-        head = "| N | error | order |"
-        label = lambda r: str(r.param)
-    else:
-        head = "| 2J | error | order |"
-        label = lambda r: str(2 * r.param)
-    lines = [title, "", head, "|---|---|---|"]
-    for r in report.rows:
-        lines.append(f"| {label(r)} | {_fmt_error(r.error)} | {_fmt_order(r.order)} |")
-    lines.append(f"| Theory |  | {report.theory_order:.2f} |")
-    return "\n".join(lines) + "\n"

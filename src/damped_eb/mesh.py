@@ -101,8 +101,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("TimeGrid requires N >= 1")
-        if self.T <= 0:
-            raise ValueError("TimeGrid requires T > 0")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"TimeGrid requires 0 < T < inf, got {self.T}")
         self.tau = self.T / (self.N + 1)
 
     def t(self, n: int) -> float:

@@ -63,7 +63,6 @@ from .mesh import Grid, Grid1D, TimeGrid
 __all__ = [
     "Problem1D",
     "StepperState",
-    "StepperState1D",
     "EnergyRecord",
     "StabilityReport",
     "IntegrationError",
@@ -113,9 +112,6 @@ class StepperState:
     V_prev: np.ndarray
     V_curr: np.ndarray
     q_curr: float
-
-
-StepperState1D = StepperState
 
 
 @dataclasses.dataclass

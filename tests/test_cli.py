@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from damped_eb import cli
+from damped_eb import cli, harness
 from damped_eb.cli import ConfigError, execute, load_config, main
 
 
@@ -184,6 +184,38 @@ def test_temporal_study_command(tmp_path):
     assert len(report) == 2 + 2
     md = (tmp_path / "out" / "report.md").read_text()
     assert "| Theory |  | 2.00 |" in md
+
+
+def test_study_csv_format(tmp_path):
+    path = write_cfg(tmp_path, TINY_1D)
+    cfg = load_config(path, command="temporal-study")
+    assert execute(cfg, out_dir=tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert lines[1] == "N,tau,tau_pair,error,order"
+    first = lines[2].split(",")
+    assert first[0] == "8" and first[4] == ""  # the first row has no order
+    assert float(first[1]) == 1.0 / 9.0 and float(first[2]) == 1.0 / 5.0
+    # full-precision round trip of the study's numbers
+    rep = harness.temporal_study(cli._build_problem(cfg), cfg.J, cfg.N_list)
+    assert float(lines[3].split(",")[3]) == rep.rows[1].error
+    assert float(lines[3].split(",")[4]) == rep.rows[1].order
+
+
+def test_study_markdown_has_theory_row_and_formats(tmp_path):
+    path = write_cfg(tmp_path, TINY_1D)
+    cfg = load_config(path, command="spatial-study")
+    assert execute(cfg, out_dir=tmp_path / "out", profile="fast") == 0
+    text = (tmp_path / "out" / "report.md").read_text()
+    assert text.startswith("Spatial refinement study (1D, law sqrt, profile fast)")
+    assert "| Theory |  | 4.00 |" in text
+    assert "| 2J | error | order |" in text
+    assert "| 8 |" in text  # rows labeled by 2J
+    # orders shown to two decimals, errors to 5 significant digits
+    rep = harness.spatial_study(cli._build_problem(cfg), cfg.N_fast, cfg.J_list)
+    row_line = [l for l in text.split("\n") if l.startswith("| 16 |")][0]
+    cells = [c.strip() for c in row_line.split("|")[1:-1]]
+    assert cells[1] == f"{rep.rows[1].error:.5g}"
+    assert cells[2] == f"{rep.rows[1].order:.2f}"
 
 
 def test_spatial_study_command(tmp_path):
@@ -482,12 +514,19 @@ def test_law_undefined_at_z_is_a_damping_error(tmp_path, capsys):
         ("T = 1", "T = nan", "T"),
         ("T = 1", "T = inf", "T"),
         ("law = sqrt", 'law = "0.5"\nlaw_p0 = nan', "law_p0"),
+        ("law = sqrt", "law = constant:nan", "law"),
+        ("law = sqrt", "law = constant:inf", "law"),
+        ("law = sqrt", "law = constant:-1", "law"),
     ],
-    ids=["T-nan", "T-inf", "law_p0-nan"],
+    ids=[
+        "T-nan", "T-inf", "law_p0-nan",
+        "constant-nan", "constant-inf", "constant-negative",
+    ],
 )
 def test_non_finite_float_is_a_config_error(tmp_path, capsys, old, new, key):
     # before, T = nan ran until a DampingError at t = nan, and law_p0 = nan
-    # dropped the floor on q (max(0, nan) is 0), so the run exited 0
+    # dropped the floor on q (max(0, nan) is 0), so the run exited 0; a
+    # constant:<c> law with c nan, inf or negative failed every run at n = 0
     path = write_cfg(tmp_path, TINY_1D.replace(old, new))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2

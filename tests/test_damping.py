@@ -51,7 +51,7 @@ def test_simpson_2d_zero_and_unit():
     g = mesh.Grid2D(3, 4)
     assert simpson_2d(np.zeros(g.shape), g.h1, g.h2) == 0.0
     ones = np.ones(g.shape)
-    assert simpson_2d(ones, g.h1, g.h2, reduced=False) == pytest.approx(1.0, abs=1e-14)
+    assert simpson_2d(ones, g.h1, g.h2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_simpson_2d_parity_check():
@@ -65,9 +65,7 @@ def test_simpson_2d_nine_point_exact_for_biquadratic():
     g = mesh.Grid2D(2, 2)
     X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
     v = X**2 * Y**2
-    assert simpson_2d(v, g.h1, g.h2, reduced=False) == pytest.approx(
-        1.0 / 9.0, abs=1e-15
-    )
+    assert simpson_2d(v, g.h1, g.h2) == pytest.approx(1.0 / 9.0, abs=1e-15)
 
 
 def test_simpson_2d_matches_weighted_norm():
@@ -80,22 +78,6 @@ def test_simpson_2d_matches_weighted_norm():
         quad = simpson_2d(w * w, g.h1, g.h2)
         nf2 = mesh.norm(g, w, "f") ** 2
         assert abs(quad - nf2) <= 1e-13 * max(1.0, abs(nf2))
-
-
-def test_simpson_2d_reduced_equals_nine_point_for_vanishing_integrand():
-    g = mesh.Grid2D(2, 2)
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
-    v = X * (1 - X) * Y * (1 - Y)
-    full = simpson_2d(v, g.h1, g.h2, reduced=False)
-    red = simpson_2d(v, g.h1, g.h2, reduced=True)
-    assert full == pytest.approx(red, abs=1e-16)
-    # and for random boundary-vanishing fields
-    rng = np.random.default_rng(32)
-    w = random_gridfn_2d(rng, 3, 5)
-    g2 = mesh.Grid2D(3, 5)
-    assert simpson_2d(w, g2.h1, g2.h2, reduced=False) == pytest.approx(
-        simpson_2d(w, g2.h1, g2.h2), rel=1e-13, abs=1e-15
-    )
 
 
 def test_q_coefficient_examples():
@@ -171,6 +153,16 @@ def test_expression_law_rejects_non_finite_p0(p0):
     # a nan p0 would drop the floor on q: max(0, nan) is 0
     with pytest.raises(ValueError, match="p0 must be finite"):
         law_from_spec("0.5", p0=p0)
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+def test_constant_law_rejects_non_finite_or_negative_c(c):
+    # before, constant:inf passed and every run failed at n = 0 with
+    # "q finite and >= inf"
+    with pytest.raises(ValueError, match="finite c >= 0"):
+        law_from_spec(f"constant:{c}")
+    with pytest.raises(ValueError, match="finite c >= 0"):
+        constant_law(float(c))
 
 
 def test_law_from_spec_names():

@@ -9,7 +9,7 @@ from damped_eb import damping, expr, mesh, operators
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
     Problem1D,
-    StepperState1D,
+    StepperState,
     _SineScheme,
     energy,
     init,
@@ -169,7 +169,7 @@ def test_step_damping_integral_matches_simpson_norm(dim, J1, J2, seed):
     else:
         g, kind = Grid2D(J1, J2), "f"
         fields = [random_gridfn_2d(rng, J1, J2) for _ in range(4)]
-    state = StepperState1D(1, *fields, q_curr=0.0)
+    state = StepperState(1, *fields, q_curr=0.0)
     identity = damping.DampingLaw("identity", lambda z: z)
     new = DIMENSIONS[dim][0](state, np.zeros(g.shape), 0.01, identity)
     assert new.q_curr == pytest.approx(mesh.norm(g, fields[3], kind) ** 2, rel=1e-13)
@@ -264,7 +264,7 @@ def test_run_energy_definition_matches_norms():
     rng = np.random.default_rng(40)
     s = np.zeros(g.shape)
     s[1:-1] = rng.standard_normal(2 * g.J - 1)
-    state = StepperState1D(
+    state = StepperState(
         n=1,
         U_prev=np.zeros(g.shape),
         U_curr=tau * operators.solve_A(s),
