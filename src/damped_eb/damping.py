@@ -157,7 +157,7 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
     except expr_mod.DomainError:
         q = math.nan
     floor = max(0.0, law.p0 or 0.0)
-    if not _admissible(z, q, floor):
+    if not (math.isfinite(z) and floor <= q < math.inf):
         on = "" if grid is None else f" on {grid!r}"
         raise DampingError(
             f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
@@ -167,25 +167,24 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
     return q
 
 
-def _admissible(z: float, q: float, floor: float) -> bool:
-    return math.isfinite(z) and floor <= q < math.inf
-
-
 def q_batch(z: np.ndarray, law: DampingLaw, n: int, t: float, grids) -> np.ndarray:
     """q_n per grid of a batch of runs, z holding ||V^n||^2 per grid.
 
     Calls ``law.func`` once on the array z.  When that call raises, or any
     grid's z or q fails the checks of :func:`q_checked`, every grid's q_n
     is taken by :func:`q_checked` instead, which raises its
-    :class:`DampingError` for the first grid that fails.
+    :class:`DampingError` for the first grid that fails.  The checks run
+    on the whole batch at once: the sum of every z and q is finite exactly
+    when each is (a sum that overflows only sends the batch to the
+    per-grid checks), and then the least q bounds every q from below.
     """
     zs = z.tolist()
-    floor = max(0.0, law.p0 or 0.0)
     try:
         q = np.asarray(law.func(z), dtype=float)
         if q.shape != z.shape:  # a scalar law value holds for every grid
             q = np.full(z.shape, q)
-        if all(_admissible(z_i, q_i, floor) for z_i, q_i in zip(zs, q.tolist())):
+        qs = q.tolist()
+        if math.isfinite(sum(zs) + sum(qs)) and max(0.0, law.p0 or 0.0) <= min(qs):
             return q
     except Exception:  # a DomainError, or a law that takes floats only
         pass

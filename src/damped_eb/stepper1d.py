@@ -12,13 +12,21 @@ compact scheme (all fields vanish on the boundary)
 with (A, D) the compact average and second difference on a beam and the
 tensor operators (H, Phi) on a plate, and the nonlocal coefficient
 q_n = P(||V^n||^2), the b-norm (1D) resp. f-norm (2D) realizing Simpson's
-rule.  Eliminating V^{n+1} (premultiply the first equation by A and
-substitute the second; A and D commute) leaves (a A^2 + D^2/2) U^{n+1} =
-rhs, a = 1/tau^2 + q_n/(2 tau), after which V^{n+1} = V^{n-1} + A^{-1} D
-(U^{n+1} - U^{n-1}).  Both operators are diagonal in the (tensor) sine
-(DST-I) basis of the interior, so one scheme, whose dimension comes from
-the grid, steps the sine coefficients (hats) of U and V elementwise.  So
-does q_n with no inverse transform: interior node j has Simpson weight
+rule.  Both operators are diagonal in the (tensor) sine (DST-I) basis of
+the interior, so one scheme, whose dimension comes from the grid, steps
+the sine coefficients (hats) elementwise; lam and mu denote the symbols of
+A and D.  As A and D commute, the second equation says that the offset
+W^n = V^n - A^{-1} D U^n has W^{n+1} = W^{n-1}: W takes one value on even
+and one on odd levels, both fixed by the startup window (and zero unless
+an analytic laplacian of u0 is given).  So V needs no recursion of its
+own, V^n = A^{-1} D U^n + W_{n mod 2}, and substituting it into the first
+equation premultiplied by A leaves a recurrence on U alone, with
+c_n = q_n/(2 tau), P = 2 lam^2/tau^2 and Q = lam^2/tau^2 + mu^2/2:
+
+    (Q + c_n lam^2) Uh^{n+1} = lam^2 fh^n + P Uh^n - (Q - c_n lam^2) Uh^{n-1}
+                               - mu lam Wh_{(n-1) mod 2}.
+
+q_n needs no inverse transform either: interior node j has Simpson weight
 h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
 so along each axis c -> h (c + flip(c)/3), and ||V||^2 = sum Vh (weighted
 Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
@@ -26,11 +34,14 @@ Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
 one).  The grids' coefficients are concatenated into one vector, and a
-step is: per-grid sums for z and E^2; one call of the law on the array of
-z, checked on Python floats; the forcing; and one elementwise update of
-the whole batch.  A forcing f = g(t) F(x[, y]) costs one product: F is
-sampled and transformed once per grid, and g evaluated once on all t_n.
-The energies' square roots are taken once, after the loop.
+step is: per-grid sums for z; one call of the law on the array of z,
+checked on Python floats; the forcing; and one elementwise update of the
+whole batch, written into a history block of U and V.  A forcing
+f = g(t) F(x[, y]) costs one product: F is sampled and transformed once
+per grid, and g evaluated once on all t_n.  The energies of a block's
+levels are taken in one pass once the block is full (its size is a fixed
+number of coefficients, so it stays in cache whatever the batch), and
+their square roots once, after the loop.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
@@ -74,6 +85,13 @@ __all__ = [
     "stability_check",
     "mol_reference",
 ]
+
+
+# Coefficients of U (and of V) that one energy block of run_batch holds:
+# 64 kB per array, which stays in cache.  A 1D spatial study J = 2..32
+# (119 coefficients) gets 68 rows per block, a lone 2D J = 32 grid (3,969)
+# the minimum of 2.
+_BLOCK_COEFFICIENTS = 8192
 
 
 class IntegrationError(RuntimeError):
@@ -139,7 +157,10 @@ class _SineScheme:
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
     the per-grid sums (z, E, ||f||) reduce over the blocks, and q_n is one
     scalar per grid.  A window is the tuple (Uh^{n-1}, Uh^n, Vh^{n-1},
-    Vh^n); transforms run per block, only at the ends of a run.
+    Vh^n).  A step reads U^{n-1}, U^n and V^n and writes U^{n+1} by the
+    recurrence on U alone, then recovers V^{n+1} = A^{-1} D U^{n+1} + W
+    from the offset W of level n - 1 (module docstring).  Transforms run
+    per block, only at the ends of a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -161,6 +182,7 @@ class _SineScheme:
         # spread maps the array of q_n per grid onto the blocks; a lone
         # grid's is taken as a float, which broadcasts.
         axes = range(-1, -1 - len(self.shapes[0]), -1)
+        owner = np.repeat(np.arange(len(grids)), self.sizes)  # grid of each coefficient
         if len(grids) == 1:
             self.spread = np.ndarray.item
             self.flip_shape = self.shapes[0]
@@ -169,7 +191,6 @@ class _SineScheme:
                 for axis in axes
             ]
         else:
-            owner = np.repeat(np.arange(len(grids)), self.sizes)
             self.spread = operator.itemgetter(owner)
             self.flip_shape = (-1,)
             index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
@@ -181,11 +202,20 @@ class _SineScheme:
             ]
         lam = np.concatenate([x.ravel() for x in lams])
         mu = np.concatenate([x.ravel() for x in mus])
-        self.lam2, self.half_mu2 = lam * lam, 0.5 * mu * mu
+        self.size = lam.size
+        self.lam2 = lam * lam
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
-        # E^2 = sum over a block of cell*lam2/2*((2/tau^2) dUh^2 + Vh^2 + Vh-^2)
-        self.energy_weight = 0.5 * np.repeat(self.cell, self.sizes) * self.lam2
+        self.P = (2.0 / (tau * tau)) * self.lam2
+        self.Q = self.lam2 / (tau * tau) + 0.5 * mu * mu
+        self.lam2_2tau = self.lam2 / (2.0 * tau)  # c_n lam^2 = q_n lam2_2tau
+        self.work = np.empty(lam.size)
+        # E^2 of a grid = sum over its coefficients of
+        # cell*lam2/2*((2/tau^2) dUh^2 + Vh^2 + Vh-^2), as products with one
+        # column of weights per grid
+        self.V_weights = np.zeros((lam.size, len(grids)))
+        self.V_weights[np.arange(lam.size), owner] = 0.5 * self.cell[owner] * self.lam2
+        self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -212,11 +242,11 @@ class _SineScheme:
         """Coefficients of ``f`` sampled at time t on every grid."""
         return self.sine([mesh.sample(g, f, t)[g.interior] for g in self.grids])
 
-    def coefficients(self, state: StepperState) -> tuple[np.ndarray, ...]:
-        """Window of a state on a batch of one grid."""
+    def coefficients(self, state: StepperState) -> np.ndarray:
+        """Window of a state on a batch of one grid, one level per row."""
         (grid,) = self.grids
         fields = np.stack((state.U_prev, state.U_curr, state.V_prev, state.V_curr))
-        return tuple(self.sine([fields[(Ellipsis,) + grid.interior]]))
+        return self.sine([fields[(Ellipsis,) + grid.interior]])
 
     def states(self, n: int, window, q) -> list[StepperState]:
         """One nodal state per grid at index n, given q_n per grid."""
@@ -284,33 +314,42 @@ class _SineScheme:
         U1 = U0 + tau * u1 + 0.5 * tau * tau * u2
         return (U0, U1, V0, self.AinvD * U1), q0
 
-    def advance(self, window, f_hat: np.ndarray, n: int, law: DampingLaw):
-        """Next window and q_n per grid from the window at level n and
-        f^n's coefficients."""
-        U_prev, U, V_prev, V = window
-        q = self.q(V, law, n)
-        r = 1.0 / (self.tau * self.tau)
-        c = self.spread(q) / (2.0 * self.tau)
-        combo = f_hat + (2.0 * r) * U
-        combo -= (r - c) * U_prev
-        rhs = self.lam2 * combo
-        rhs -= self.DA * V_prev
-        rhs += self.half_mu2 * U_prev
-        U_next = rhs / ((r + c) * self.lam2 + self.half_mu2)
-        V_next = U_next - U_prev
-        V_next *= self.AinvD
-        V_next += V_prev
-        return (U, U_next, V, V_next), q
+    def offsets(self, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offset W = V - A^{-1} D U of one level, and D A W."""
+        W = V - self.AinvD * U
+        return W, self.DA * W
 
-    def squared_energy(self, window) -> np.ndarray:
-        """E^2 per grid of a window; by Parseval ||A u|| = ||lam * uh||."""
-        U_prev, U, V_prev, V = window
-        dU = U - U_prev
-        e = (2.0 / (self.tau * self.tau)) * (dU * dU)
-        e += V * V
-        e += V_prev * V_prev
-        e *= self.energy_weight
-        return np.add.reduceat(e, self.starts)
+    def advance(self, U_prev, U, V, f_hat, offsets, n: int, law: DampingLaw, out):
+        """q_n per grid; writes U^{n+1} and V^{n+1} into ``out``.
+
+        Reads U^{n-1}, U^n, V^n, f^n's coefficients and the
+        :meth:`offsets` of level n - 1, which are those of level n + 1.
+        """
+        q = self.q(V, law, n)
+        c = self.spread(q) * self.lam2_2tau
+        W, DA_W = offsets
+        U_next, V_next = out
+        work = self.work
+        np.multiply(self.P, U, out=U_next)
+        np.subtract(self.Q, c, out=work)
+        work *= U_prev
+        U_next -= work
+        np.multiply(self.lam2, f_hat, out=work)
+        U_next += work
+        U_next -= DA_W
+        np.add(self.Q, c, out=work)
+        U_next /= work
+        np.multiply(self.AinvD, U_next, out=V_next)
+        V_next += W
+        return q
+
+    def squared_energy(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """E^2 per grid (columns) of each window of consecutive levels, given
+        the levels' coefficients as rows; by Parseval ||A u|| = ||lam * uh||."""
+        dU = U[1:] - U[:-1]
+        dU *= dU
+        V2 = (V * V) @ self.V_weights
+        return dU @ self.dU_weights + V2[1:] + V2[:-1]
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
@@ -331,15 +370,19 @@ def step(
     """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
     scheme = _scheme_of(state, tau)
     f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
-    window, q = scheme.advance(scheme.coefficients(state), f_hat, state.n, law)
-    (new,) = scheme.states(state.n + 1, window, q)
+    U_prev, U, V_prev, V = scheme.coefficients(state)
+    out = (np.empty_like(U), np.empty_like(V))
+    offsets = scheme.offsets(U_prev, V_prev)
+    q = scheme.advance(U_prev, U, V, f_hat, offsets, state.n, law, out)
+    (new,) = scheme.states(state.n + 1, (U, out[0], V, out[1]), q)
     return new
 
 
 def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
     scheme = _scheme_of(state, tau)
-    (E2,) = scheme.squared_energy(scheme.coefficients(state)).tolist()
+    window = scheme.coefficients(state)
+    (E2,) = scheme.squared_energy(window[:2], window[2:])[0]
     return EnergyRecord(state.n - 1, math.sqrt(E2))
 
 
@@ -361,32 +404,50 @@ def run_batch(
     stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  A
     :class:`damped_eb.damping.DampingError` names the grid whose run failed.
     """
-    tau = tg.tau
+    tau, N = tg.tau, tg.N
     scheme = _SineScheme(list(grids), tau)
 
-    def observe(n, window, q):
-        for state in scheme.states(n, window, q):
+    def observe(n, i, q):
+        for state in scheme.states(n, (U[i - 1], U[i], V[i - 1], V[i]), q):
             for obs in observers:
                 obs(state)
 
-    energies = np.empty((tg.N + 1, len(grids)))
+    # History of U and V in blocks of `rows` levels: rows 0 and 1 carry
+    # levels n - 1 and n into a block, the new levels fill rows 2.., and a
+    # full block's windows get their energies in one pass.
+    rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
+    U = np.empty((rows + 2, scheme.size))
+    V = np.empty_like(U)
+    energies = np.empty((N + 1, len(grids)))
     # a state that overflows is stopped by the guard on z (DampingError);
     # silence the overflow warnings it raises on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        f_at, f_norms = scheme.forcing(problem.f, np.arange(tg.N + 1) * tau)
-        window, q = scheme.start(problem, f_at(0))
-        energies[0] = scheme.squared_energy(window)
+        f_at, f_norms = scheme.forcing(problem.f, np.arange(N + 1) * tau)
+        (U[0], U[1], V[0], V[1]), q = scheme.start(problem, f_at(0))
+        offsets = [scheme.offsets(U[0], V[0]), scheme.offsets(U[1], V[1])]
+        energies[0] = scheme.squared_energy(U[:2], V[:2])[0]
         if observers:
-            observe(1, window, q)
-        for n in range(1, tg.N + 1):
-            window, q = scheme.advance(window, f_at(n), n, problem.law)
-            energies[n] = scheme.squared_energy(window)
+            observe(1, 1, q)
+        i = 1  # row of level n
+        for n in range(1, N + 1):
+            out = (U[i + 1], V[i + 1])
+            q = scheme.advance(
+                U[i - 1], U[i], V[i], f_at(n), offsets[(n - 1) & 1], n, problem.law, out
+            )
+            i += 1
             if observers:
-                observe(n + 1, window, q)
+                observe(n + 1, i, q)
+            if i == rows + 1 or n == N:
+                energies[n + 2 - i : n + 1] = scheme.squared_energy(
+                    U[1 : i + 1], V[1 : i + 1]
+                )
+                U[:2] = U[i - 1 : i + 1]
+                V[:2] = V[i - 1 : i + 1]
+                i = 1
         np.sqrt(energies, out=energies)
         f_norms[0] = 0.0  # the bound sums ||f^j|| over j >= 1
         bounds = energies[0] + 2.0 * tau * np.cumsum(f_norms, axis=0)
-    return scheme.states(tg.N + 1, window, q), energies, bounds
+    return scheme.states(N + 1, (U[0], U[1], V[0], V[1]), q), energies, bounds
 
 
 def run(

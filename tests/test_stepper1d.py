@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies
 from damped_eb import damping, expr, mesh, operators
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
+    _BLOCK_COEFFICIENTS,
     Problem1D,
     StepperState,
     _SineScheme,
@@ -24,6 +25,8 @@ from damped_eb.stepper2d import Problem2D, energy2d, step2d
 from oracles import (
     block_step_1d,
     dense_compact,
+    dense_H,
+    dense_Phi,
     dense_second_diff,
     random_gridfn_1d,
     random_gridfn_2d,
@@ -238,6 +241,98 @@ def test_scheme_residual_small_after_each_step():
         assert np.max(np.abs(r1)) <= 1e-10 * scale1
         assert np.max(np.abs(r2)) <= 1e-10 * scale2
         st = new
+
+
+def scheme_residuals(prev, new, f, tau):
+    """Largest residuals of the scheme's two equations at level prev.n, from
+    the observed states at prev.n and prev.n + 1, each relative to the scale
+    used by test_scheme_residual_small_after_each_step."""
+    g = mesh.grid_of(new.U_curr.shape)
+    if len(g.shape) == 1:
+        A, D = dense_compact(2 * g.J - 1), dense_second_diff(2 * g.J - 1, g.h)
+    else:
+        m1, m2 = 2 * g.J1 - 1, 2 * g.J2 - 1
+        A, D = dense_H(m1, m2), dense_Phi(m1, m2, g.h1, g.h2)
+
+    def vec(u):
+        return u[g.interior].ravel()
+
+    Upp, Up, Un = vec(new.U_curr), vec(prev.U_curr), vec(prev.U_prev)
+    Vpp, Vn = vec(new.V_curr), vec(prev.V_prev)
+    f_n = vec(mesh.sample(g, f, prev.n * tau))
+    r1 = (
+        A @ ((Upp - 2 * Up + Un) / tau**2)
+        + new.q_curr * (A @ ((Upp - Un) / (2 * tau)))
+        + D @ ((Vpp + Vn) / 2.0)
+        - A @ f_n
+    )
+    r2 = A @ ((Vpp - Vn) / (2 * tau)) - D @ ((Upp - Un) / (2 * tau))
+    scale1 = max(1.0, np.max(np.abs(A @ ((Upp - 2 * Up + Un) / tau**2))))
+    scale2 = max(1.0, np.max(np.abs(D @ ((Upp - Un) / (2 * tau)))))
+    return np.max(np.abs(r1)) / scale1, np.max(np.abs(r2)) / scale2
+
+
+OFFSET_LAPLACIANS = {
+    1: "-pi^2*sin(pi*x) + 0.5*sin(2*pi*x)",
+    2: "-2*pi^2*sin(pi*x)*sin(pi*y) + 0.5*sin(2*pi*x)*sin(pi*y)",
+}
+
+
+@pytest.mark.parametrize(
+    "dim,sizes", [(2, [(4, 3)]), (1, [3, 4, 8])], ids=["2d-run", "1d-batch"]
+)
+def test_scheme_holds_with_offset_laplacian(dim, sizes):
+    # lap_u0 is not the laplacian of u0, so V^0 - A^{-1} D U^0 is O(1): the
+    # offset of the even levels differs from that of the odd ones, and every
+    # step must use the offset of its own parity
+    grids = [Grid1D(J) if dim == 1 else Grid2D(*J) for J in sizes]
+    problem = dataclasses.replace(
+        forced_batch(dim), lap_u0=expr.parse(OFFSET_LAPLACIANS[dim])
+    )
+    tg = TimeGrid(12, 1.0)
+    seen = {g.shape: [] for g in grids}
+
+    def observe(state):
+        seen[state.U_curr.shape].append(state)
+
+    if len(grids) == 1:
+        run(problem, grids[0], tg, observers=(observe,))
+    else:
+        run_batch(problem, grids, tg, observers=(observe,))
+    for states in seen.values():
+        assert len(states) == tg.N + 1
+        for prev, new in zip(states, states[1:]):
+            r1, r2 = scheme_residuals(prev, new, problem.f, tg.tau)
+            assert r1 <= 1e-10 and r2 <= 1e-10
+
+
+def block_rows(grids):
+    size = sum(math.prod(n - 2 for n in g.shape) for g in grids)
+    return max(2, _BLOCK_COEFFICIENTS // size)
+
+
+@pytest.mark.parametrize(
+    "N_of_rows",
+    [lambda rows: 1, lambda rows: rows, lambda rows: 3 * rows + 1],
+    ids=["N-1", "N-rows", "N-3rows+1"],
+)
+@pytest.mark.parametrize(
+    "grids",
+    [[Grid2D(32, 32)], [Grid1D(J) for J in (2, 4, 8, 16, 32)]],
+    ids=["2d-lone-32", "1d-batch-2..32"],
+)
+def test_block_energies_match_energy_of_each_window(grids, N_of_rows):
+    # run_batch takes the energies of a block of levels in one pass; N = 1, a
+    # full block, and three full blocks and a partial one cover its ends
+    dim = len(grids[0].shape)
+    f = "t^3*sin(pi*x)" if dim == 1 else "t^3*sin(pi*x)*sin(pi*y)"
+    tg = TimeGrid(N_of_rows(block_rows(grids)), 1.0)
+    observed = []
+    _, energies, _ = run_batch(forced_batch(dim, f), grids, tg, (observed.append,))
+    assert len(observed) == len(grids) * (tg.N + 1)
+    for k, state in enumerate(observed):
+        E = energy(state, tg.tau).E
+        assert energies[state.n - 1, k % len(grids)] == pytest.approx(E, rel=1e-13)
 
 
 def test_run_executes_n_steps_and_records():
