@@ -214,39 +214,10 @@ def test_run_observers_and_records_match_nodal_steps(g):
     assert np.array_equal(final.U_curr, observed[-1].U_curr)
 
 
-def test_scheme_residual_small_after_each_step():
-    g = Grid1D(8)
-    tg = TimeGrid(8, 1.0)
-    prob = forced_problem()
-    m = 2 * g.J - 1
-    A = dense_compact(m)
-    D = dense_second_diff(m, g.h)
-    tau = tg.tau
-    st = init(prob, g, tg)
-    for n in range(1, tg.N + 1):
-        f_n = mesh.sample(g, prob.f, tg.t(n))
-        q = damping.q_coefficient(st.V_curr, prob.law)
-        new = step(st, f_n, tau, prob.law)
-        Upp, Up, Un = new.U_curr[1:-1], st.U_curr[1:-1], st.U_prev[1:-1]
-        Vpp, Vn = new.V_curr[1:-1], st.V_prev[1:-1]
-        r1 = (
-            A @ ((Upp - 2 * Up + Un) / tau**2)
-            + q * (A @ ((Upp - Un) / (2 * tau)))
-            + D @ ((Vpp + Vn) / 2.0)
-            - A @ f_n[1:-1]
-        )
-        r2 = A @ ((Vpp - Vn) / (2 * tau)) - D @ ((Upp - Un) / (2 * tau))
-        scale1 = max(1.0, np.max(np.abs(A @ ((Upp - 2 * Up + Un) / tau**2))))
-        scale2 = max(1.0, np.max(np.abs(D @ ((Upp - Un) / (2 * tau)))))
-        assert np.max(np.abs(r1)) <= 1e-10 * scale1
-        assert np.max(np.abs(r2)) <= 1e-10 * scale2
-        st = new
-
-
-def scheme_residuals(prev, new, f, tau):
+def scheme_residuals(prev, new, q, f, tau):
     """Largest residuals of the scheme's two equations at level prev.n, from
-    the observed states at prev.n and prev.n + 1, each relative to the scale
-    used by test_scheme_residual_small_after_each_step."""
+    the states at prev.n and prev.n + 1 and q_n, relative to the largest
+    second difference in time (first) and D dU/(2 tau) (second), at least 1."""
     g = mesh.grid_of(new.U_curr.shape)
     if len(g.shape) == 1:
         A, D = dense_compact(2 * g.J - 1), dense_second_diff(2 * g.J - 1, g.h)
@@ -262,7 +233,7 @@ def scheme_residuals(prev, new, f, tau):
     f_n = vec(mesh.sample(g, f, prev.n * tau))
     r1 = (
         A @ ((Upp - 2 * Up + Un) / tau**2)
-        + new.q_curr * (A @ ((Upp - Un) / (2 * tau)))
+        + q * (A @ ((Upp - Un) / (2 * tau)))
         + D @ ((Vpp + Vn) / 2.0)
         - A @ f_n
     )
@@ -270,6 +241,20 @@ def scheme_residuals(prev, new, f, tau):
     scale1 = max(1.0, np.max(np.abs(A @ ((Upp - 2 * Up + Un) / tau**2))))
     scale2 = max(1.0, np.max(np.abs(D @ ((Upp - Un) / (2 * tau)))))
     return np.max(np.abs(r1)) / scale1, np.max(np.abs(r2)) / scale2
+
+
+def test_scheme_residual_small_after_each_step():
+    g = Grid1D(8)
+    tg = TimeGrid(8, 1.0)
+    prob = forced_problem()
+    st = init(prob, g, tg)
+    for n in range(1, tg.N + 1):
+        f_n = mesh.sample(g, prob.f, tg.t(n))
+        q = damping.q_coefficient(st.V_curr, prob.law)
+        new = step(st, f_n, tg.tau, prob.law)
+        r1, r2 = scheme_residuals(st, new, q, prob.f, tg.tau)
+        assert r1 <= 1e-10 and r2 <= 1e-10
+        st = new
 
 
 OFFSET_LAPLACIANS = {
@@ -302,7 +287,7 @@ def test_scheme_holds_with_offset_laplacian(dim, sizes):
     for states in seen.values():
         assert len(states) == tg.N + 1
         for prev, new in zip(states, states[1:]):
-            r1, r2 = scheme_residuals(prev, new, problem.f, tg.tau)
+            r1, r2 = scheme_residuals(prev, new, new.q_curr, problem.f, tg.tau)
             assert r1 <= 1e-10 and r2 <= 1e-10
 
 
