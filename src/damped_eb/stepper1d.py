@@ -20,11 +20,18 @@ W^n = V^n - A^{-1} D U^n has W^{n+1} = W^{n-1}: W takes one value on even
 and one on odd levels, both fixed by the startup window (and zero unless
 an analytic laplacian of u0 is given).  So V needs no recursion of its
 own, V^n = A^{-1} D U^n + W_{n mod 2}, and substituting it into the first
-equation premultiplied by A leaves a recurrence on U alone, with
-c_n = q_n/(2 tau), P = 2 lam^2/tau^2 and Q = lam^2/tau^2 + mu^2/2:
+equation premultiplied by A leaves a recurrence on U alone.  It is stepped
+in its increment (summed) form: with delta^n = U^{n+1} - U^n,
+c_n = q_n/(2 tau) and Q = lam^2/tau^2 + mu^2/2,
 
-    (Q + c_n lam^2) Uh^{n+1} = lam^2 fh^n + P Uh^n - (Q - c_n lam^2) Uh^{n-1}
-                               - mu lam Wh_{(n-1) mod 2}.
+    (Q + c_n lam^2) deltah^n = lam^2 fh^n - mu^2 Uh^n - mu lam Wh_{(n-1) mod 2}
+                               + (Q - c_n lam^2) deltah^{n-1},
+    Uh^{n+1} = Uh^n + deltah^n.
+
+Every term is of the size of delta; the position form, which forms
+2 lam^2/tau^2 U^n - (Q - c_n lam^2) U^{n-1}, cancels two terms of the size
+of U/tau^2 down to that size at each step and loses about four digits over
+16,384 steps (Henrici 1962; Hairer, Lubich & Wanner 2006, VIII.5).
 
 q_n needs no inverse transform either: interior node j has Simpson weight
 h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
@@ -33,19 +40,20 @@ Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
-one).  The grids' coefficients are concatenated into one vector, and a
-step is: per-grid sums for z; one call of the law on the array of z,
-checked on Python floats; the forcing; and one elementwise update of the
-whole batch, written into a history block of U and V.  A forcing
-f = g(t) F(x[, y]) costs one product: F is sampled and transformed once
-per grid, and g evaluated once on all t_n.  The energies of a block's
-levels are taken in one pass once the block is full (its size is a fixed
-number of coefficients, so it stays in cache whatever the batch), and
-their square roots once, after the loop.
+one) on one concatenated coefficient vector, U one running vector.  A step
+is: per-grid sums for z; one call of the law on the array of z, checked on
+Python floats; and one elementwise update of the whole batch into a row of
+a history block of delta and V, every array it writes allocated once per
+run.  A forcing f = g(t) F(x[, y]) is staged: F is transformed once per
+grid, g evaluated once on all t_n, and one outer product writes lam^2 f^n
+into a block's delta rows.  A full block's energies are taken in one pass
+(its size is a fixed number of coefficients, so it stays in cache), their
+square roots after the loop.  Of size N, a run keeps only its energies and
+bounds, the times t_n and g(t_n).
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
-laplacian override); U^1 = U^0 + tau*u1 + (tau^2/2)*u2 with the
-consistent acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0.
+laplacian override); delta^0 = tau*u1 + (tau^2/2)*u2 with the consistent
+acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0, and U^1 = U^0 + delta^0.
 
 The module also carries the discrete energy
 
@@ -60,7 +68,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import ClassVar
 
 import numpy as np
@@ -156,11 +163,12 @@ class _SineScheme:
     single vector, next to the grid's symbols (lam, mu): of (A, D) on a
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
     the per-grid sums (z, E, ||f||) reduce over the blocks, and q_n is one
-    scalar per grid.  A window is the tuple (Uh^{n-1}, Uh^n, Vh^{n-1},
-    Vh^n).  A step reads U^{n-1}, U^n and V^n and writes U^{n+1} by the
-    recurrence on U alone, then recovers V^{n+1} = A^{-1} D U^{n+1} + W
-    from the offset W of level n - 1 (module docstring).  Transforms run
-    per block, only at the ends of a run.
+    scalar per grid.  A step (:meth:`advance`) reads U^n, the increment
+    delta^{n-1} = U^n - U^{n-1} and V^n, writes delta^n by the increment
+    form of the recurrence on U, adds it to U in place and recovers
+    V^{n+1} = A^{-1} D U^{n+1} + W (module docstring).  A step writes
+    only into arrays allocated once, with the scheme or the run (the law's
+    result aside); transforms run per grid, only at the ends of a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -171,27 +179,25 @@ class _SineScheme:
             *(operators._sine_symbols([n - 2 for n in g.shape]) for g in grids)
         )
         self.shapes = [lam.shape for lam in lams]
-        self.sizes = [lam.size for lam in lams]
-        ends = np.cumsum(self.sizes)
-        self.starts = ends - self.sizes
+        sizes = [lam.size for lam in lams]
+        ends = np.cumsum(sizes)
+        self.starts = ends - sizes
         self.blocks = [slice(a, b) for a, b in zip(self.starts, ends)]
         self.cell = np.array([g.cell for g in grids])
         # z's flip c -> flip(c) along each axis, as one index per axis into
         # the vector viewed as flip_shape: for a lone grid a reversed view of
         # its block (cheaper than a gather), for a batch a permutation.
-        # spread maps the array of q_n per grid onto the blocks; a lone
-        # grid's is taken as a float, which broadcasts.
+        # owner is the grid of each coefficient.
         axes = range(-1, -1 - len(self.shapes[0]), -1)
-        owner = np.repeat(np.arange(len(grids)), self.sizes)  # grid of each coefficient
-        if len(grids) == 1:
-            self.spread = np.ndarray.item
+        self.owner = np.repeat(np.arange(len(grids)), sizes)
+        self.lone = len(grids) == 1
+        if self.lone:
             self.flip_shape = self.shapes[0]
             self.flips = [
                 (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
                 for axis in axes
             ]
         else:
-            self.spread = operator.itemgetter(owner)
             self.flip_shape = (-1,)
             index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
             self.flips = [
@@ -204,18 +210,25 @@ class _SineScheme:
         mu = np.concatenate([x.ravel() for x in mus])
         self.size = lam.size
         self.lam2 = lam * lam
+        self.mu2 = mu * mu
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
-        self.P = (2.0 / (tau * tau)) * self.lam2
-        self.Q = self.lam2 / (tau * tau) + 0.5 * mu * mu
+        self.Q = self.lam2 / (tau * tau) + 0.5 * self.mu2
         self.lam2_2tau = self.lam2 / (2.0 * tau)  # c_n lam^2 = q_n lam2_2tau
-        self.work = np.empty(lam.size)
-        # E^2 of a grid = sum over its coefficients of
-        # cell*lam2/2*((2/tau^2) dUh^2 + Vh^2 + Vh-^2), as products with one
-        # column of weights per grid
+        # z and E^2 of a grid are sums over its coefficients: products with
+        # one row (z) or column (E^2) of weights per grid, cell for z, and
+        # cell*lam2/2*((2/tau^2) delta^2 + Vh^2 + Vh-^2) for E^2
+        owner, k = self.owner, np.arange(lam.size)
+        self.z_weights = np.zeros((len(grids), lam.size))
+        self.z_weights[owner, k] = self.cell[owner]
         self.V_weights = np.zeros((lam.size, len(grids)))
-        self.V_weights[np.arange(lam.size), owner] = 0.5 * self.cell[owner] * self.lam2
+        self.V_weights[k, owner] = 0.5 * self.cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
+        # the step's scratch: two coefficient vectors (also viewed as
+        # flip_shape) and z
+        self.work = np.empty((2, lam.size))
+        self.flip_work = [(x.reshape(self.flip_shape), x) for x in self.work]
+        self.z = np.empty(len(grids))
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -259,22 +272,32 @@ class _SineScheme:
 
     def q(self, V: np.ndarray, law: DampingLaw, n: int) -> np.ndarray:
         """q_n per grid from z = ||V||^2 (:func:`damped_eb.damping.q_batch`),
-        where c -> c + flip(c)/3 along each axis."""
+        where c -> c + flip(c)/3 along each axis; z is written into the
+        scheme's scratch."""
         w = V.reshape(self.flip_shape)
-        for flip in self.flips:
-            w = w + w[flip] / 3.0
-        z = self.cell * np.add.reduceat(V * w.reshape(-1), self.starts)
+        for flip, (out, flat) in zip(self.flips, self.flip_work):
+            if self.lone:
+                np.multiply(w[flip], 1.0 / 3.0, out=out)
+            else:  # (mode="raise" would buffer the gather; the index is valid)
+                w.take(flip, out=out, mode="wrap")
+                out *= 1.0 / 3.0
+            out += w
+            w = out
+        flat *= V
+        z = np.dot(self.z_weights, flat, out=self.z)
         return damping_mod.q_batch(z, law, n, n * self.tau, self.grids)
 
     def forcing(self, f, times: np.ndarray):
-        """The map n -> coefficients of f(., times[n]) on every grid, and the
-        array of ||f(., times[n])|| per grid, whose row n is written by the
-        time the map is called at n.
+        """The coefficients of f(., times[0]) on every grid; the map
+        (n, rows) that writes the coefficients of lam^2 f(., times[n + k])
+        into rows[k] for each k; and the array of ||f(., times[n])|| per
+        grid, whose rows are written by the map.
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
         staged: F is sampled and transformed once, g evaluated on all times,
-        and a call is one product.  Any other f, or a g or F that leaves its
-        domain, is sampled at each call (naming the node where it fails).
+        and a call is one outer product.  Any other f, or a g or F that
+        leaves its domain, is sampled at each time (naming the node where it
+        fails).
         """
         norms = np.empty((len(times), len(self.grids)))
         split = expr_mod.split_time(f) if hasattr(f, "_eval") else None
@@ -286,18 +309,30 @@ class _SineScheme:
             except expr_mod.DomainError:
                 split = None
         if split is not None:
-            np.multiply(np.abs(g_n)[:, None], self.norms(F_hat), out=norms)
-            return (lambda n: g_n[n] * F_hat), norms
+            np.multiply(g_n[:, None], self.norms(F_hat), out=norms)
+            np.abs(norms, out=norms)
+            lam2_F = self.lam2 * F_hat
+
+            def staged(n, rows):
+                np.multiply(g_n[n : n + len(rows), None], lam2_F, out=rows)
+
+            return g_n[0] * F_hat, staged, norms
 
         def sampled(n):
             f_hat = self.sample(f, times.item(n))
             norms[n] = self.norms(f_hat)
             return f_hat
 
-        return sampled, norms
+        def sampled_rows(n, rows):
+            for k, row in enumerate(rows, n):
+                np.multiply(self.lam2, sampled(k), out=row)
+
+        return sampled(0), sampled_rows, norms
 
     def start(self, problem, f_hat: np.ndarray):
-        """Startup window at n = 1 and q_0 per grid, given f^0's coefficients."""
+        """Startup at n = 1, given f^0's coefficients: the window
+        (U^0, U^1, V^0, V^1), delta^0 = tau u1 + (tau^2/2) u2, q_0 per grid,
+        and the offsets (W, D A W) of the even and of the odd levels."""
         tau = self.tau
         U0 = self.sample(problem.u0, 0.0)
         if problem.lap_u0 is not None:
@@ -310,46 +345,50 @@ class _SineScheme:
         else:
             bilap = self.AinvD * V0
         u1 = self.sample(problem.u1, 0.0)
-        u2 = -self.spread(q0) * u1 - bilap + f_hat
-        U1 = U0 + tau * u1 + 0.5 * tau * tau * u2
-        return (U0, U1, V0, self.AinvD * U1), q0
+        u2 = -q0[self.owner] * u1 - bilap + f_hat
+        d = tau * u1 + 0.5 * tau * tau * u2
+        U1 = U0 + d
+        W = V0 - self.AinvD * U0
+        zero = np.zeros_like(W)
+        window = (U0, U1, V0, self.AinvD * U1)
+        return window, d, q0, [(W, self.DA * W), (zero, zero)]
 
-    def offsets(self, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The offset W = V - A^{-1} D U of one level, and D A W."""
-        W = V - self.AinvD * U
-        return W, self.DA * W
+    def advance(self, U, d, V, offset, n: int, law: DampingLaw, out):
+        """q_n per grid; writes delta^n and V^{n+1} into ``out`` and adds
+        delta^n to U in place.
 
-    def advance(self, U_prev, U, V, f_hat, offsets, n: int, law: DampingLaw, out):
-        """q_n per grid; writes U^{n+1} and V^{n+1} into ``out``.
-
-        Reads U^{n-1}, U^n, V^n, f^n's coefficients and the
-        :meth:`offsets` of level n - 1, which are those of level n + 1.
+        Reads U^n, d = delta^{n-1}, V^n and the offset (W, D A W) of level
+        n - 1, which is that of level n + 1.  The first array of ``out``
+        holds the coefficients of lam^2 f^n on entry.
         """
         q = self.q(V, law, n)
-        c = self.spread(q) * self.lam2_2tau
-        W, DA_W = offsets
-        U_next, V_next = out
-        work = self.work
-        np.multiply(self.P, U, out=U_next)
-        np.subtract(self.Q, c, out=work)
-        work *= U_prev
-        U_next -= work
-        np.multiply(self.lam2, f_hat, out=work)
-        U_next += work
-        U_next -= DA_W
-        np.add(self.Q, c, out=work)
-        U_next /= work
-        np.multiply(self.AinvD, U_next, out=V_next)
+        b, c = self.work
+        W, DA_W = offset
+        d_next, V_next = out
+        np.multiply(self.mu2, U, out=b)
+        d_next -= b
+        d_next -= DA_W
+        if self.lone:  # q as a 0-d view, which broadcasts cheapest
+            np.multiply(self.lam2_2tau, q[..., 0], out=c)
+        else:
+            q.take(self.owner, out=c, mode="wrap")  # spread q by one gather
+            c *= self.lam2_2tau
+        np.subtract(self.Q, c, out=b)
+        b *= d
+        d_next += b
+        c += self.Q
+        d_next /= c
+        U += d_next
+        np.multiply(self.AinvD, U, out=V_next)
         V_next += W
         return q
 
-    def squared_energy(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """E^2 per grid (columns) of each window of consecutive levels, given
-        the levels' coefficients as rows; by Parseval ||A u|| = ||lam * uh||."""
-        dU = U[1:] - U[:-1]
-        dU *= dU
+    def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """E^2 per grid (columns) of each window (delta^k, V^k, V^{k+1}),
+        given the increments as rows of D and the levels of V as the rows of
+        V (one more); by Parseval ||A u|| = ||lam * uh||."""
         V2 = (V * V) @ self.V_weights
-        return dU @ self.dU_weights + V2[1:] + V2[:-1]
+        return (D * D) @ self.dU_weights + V2[1:] + V2[:-1]
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
@@ -359,8 +398,9 @@ def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _SineScheme([grid], tg.tau)
-    f_at, _ = scheme.forcing(problem.f, np.zeros(1))
-    (state,) = scheme.states(1, *scheme.start(problem, f_at(0)))
+    f_hat, _, _ = scheme.forcing(problem.f, np.zeros(1))
+    window, _, q, _ = scheme.start(problem, f_hat)
+    (state,) = scheme.states(1, window, q)
     return state
 
 
@@ -371,18 +411,19 @@ def step(
     scheme = _scheme_of(state, tau)
     f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
     U_prev, U, V_prev, V = scheme.coefficients(state)
-    out = (np.empty_like(U), np.empty_like(V))
-    offsets = scheme.offsets(U_prev, V_prev)
-    q = scheme.advance(U_prev, U, V, f_hat, offsets, state.n, law, out)
-    (new,) = scheme.states(state.n + 1, (U, out[0], V, out[1]), q)
+    W = V_prev - scheme.AinvD * U_prev
+    U_next = U.copy()
+    out = (scheme.lam2 * f_hat, np.empty_like(V))
+    q = scheme.advance(U_next, U - U_prev, V, (W, scheme.DA * W), state.n, law, out)
+    (new,) = scheme.states(state.n + 1, (U, U_next, V, out[1]), q)
     return new
 
 
 def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
     scheme = _scheme_of(state, tau)
-    window = scheme.coefficients(state)
-    (E2,) = scheme.squared_energy(window[:2], window[2:])[0]
+    U_prev, U, V_prev, V = scheme.coefficients(state)
+    (E2,) = scheme.squared_energy((U - U_prev)[None], np.stack((V_prev, V)))[0]
     return EnergyRecord(state.n - 1, math.sqrt(E2))
 
 
@@ -401,53 +442,56 @@ def run_batch(
     grid's state after startup and after every step.  Returns the final
     state of each grid, in the order of ``grids``, and two arrays of shape
     (N+1, len(grids)): the energy E^n of each grid and its running
-    stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  A
+    stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  Besides the times t_n
+    (and g(t_n)), these are the only arrays of a run that grow with N.  A
     :class:`damped_eb.damping.DampingError` names the grid whose run failed.
     """
-    tau, N = tg.tau, tg.N
+    tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
 
     def observe(n, i, q):
-        for state in scheme.states(n, (U[i - 1], U[i], V[i - 1], V[i]), q):
+        for state in scheme.states(n, (U - D[i], U, V[i - 1], V[i]), q):
             for obs in observers:
                 obs(state)
 
-    # History of U and V in blocks of `rows` levels: rows 0 and 1 carry
-    # levels n - 1 and n into a block, the new levels fill rows 2.., and a
-    # full block's windows get their energies in one pass.
+    # History of delta and V in blocks of `rows` windows, window i being
+    # (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1} and V^n in, the
+    # steps fill rows 1.. (a delta row holds lam^2 f^n, staged at the
+    # block's start, until its step), and a full block's energies take one pass.
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
-    U = np.empty((rows + 2, scheme.size))
-    V = np.empty_like(U)
+    D = np.empty((rows + 1, scheme.size))
+    V = np.empty_like(D)
+    D_row, V_row = list(D), list(V)  # views made once
     energies = np.empty((N + 1, len(grids)))
     # a state that overflows is stopped by the guard on z (DampingError);
     # silence the overflow warnings it raises on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        f_at, f_norms = scheme.forcing(problem.f, np.arange(N + 1) * tau)
-        (U[0], U[1], V[0], V[1]), q = scheme.start(problem, f_at(0))
-        offsets = [scheme.offsets(U[0], V[0]), scheme.offsets(U[1], V[1])]
-        energies[0] = scheme.squared_energy(U[:2], V[:2])[0]
+        times = np.arange(N + 1, dtype=float)
+        times *= tau
+        f_hat, force, bounds = scheme.forcing(problem.f, times)
+        (_, U, V[0], V[1]), D[1], q, offsets = scheme.start(problem, f_hat)
         if observers:
             observe(1, 1, q)
         i = 1  # row of level n
+        force(1, D[2 : min(rows, N + 1) + 1])
         for n in range(1, N + 1):
-            out = (U[i + 1], V[i + 1])
-            q = scheme.advance(
-                U[i - 1], U[i], V[i], f_at(n), offsets[(n - 1) & 1], n, problem.law, out
-            )
+            if i == rows:
+                energies[n - i : n] = scheme.squared_energy(D[1:], V)
+                D[0], V[0] = D[i], V[i]
+                i = 0
+                force(n, D[1 : min(rows, N + 1 - n) + 1])
+            out = (D_row[i + 1], V_row[i + 1])
+            q = scheme.advance(U, D_row[i], V_row[i], offsets[(n - 1) & 1], n, law, out)
             i += 1
             if observers:
                 observe(n + 1, i, q)
-            if i == rows + 1 or n == N:
-                energies[n + 2 - i : n + 1] = scheme.squared_energy(
-                    U[1 : i + 1], V[1 : i + 1]
-                )
-                U[:2] = U[i - 1 : i + 1]
-                V[:2] = V[i - 1 : i + 1]
-                i = 1
+        energies[N + 1 - i :] = scheme.squared_energy(D[1 : i + 1], V[: i + 1])
         np.sqrt(energies, out=energies)
-        f_norms[0] = 0.0  # the bound sums ||f^j|| over j >= 1
-        bounds = energies[0] + 2.0 * tau * np.cumsum(f_norms, axis=0)
-    return scheme.states(N + 1, (U[0], U[1], V[0], V[1]), q), energies, bounds
+        bounds[0] = 0.0  # the bound sums ||f^j|| over j >= 1
+        np.cumsum(bounds, axis=0, out=bounds)
+        bounds *= 2.0 * tau
+        bounds += energies[0]
+    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), q), energies, bounds
 
 
 def run(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,10 +465,14 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     grids = BATCHES[dim]
     scheme = _SineScheme(grids, 0.1)
     times = np.array([0.0, 0.37, 1.0])
-    f_at, f_norms = scheme.forcing(tree, times)
+    f_0, f_at, f_norms = scheme.forcing(tree, times)
+    rows = np.empty((len(times) - 1, scheme.size))
+    f_at(1, rows)  # lam^2 f^n of the steps n = 1, 2; f_0 is the startup's f^0
     for n, t in enumerate(times.tolist()):
-        f_hat, f_norm = f_at(n), f_norms[n]
+        f_hat = rows[n - 1] if n else scheme.lam2 * f_0
+        f_norm = f_norms[n]
         ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
+        ref *= scheme.lam2
         assert np.max(np.abs(f_hat - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
         assert f_norm == pytest.approx(norms, rel=1e-13, abs=1e-300)
@@ -673,3 +678,52 @@ def test_batch_matches_per_grid_q_checked_reference(dim, sizes, law, kind, N):
         assert state.q_curr == ref.q_curr and isinstance(state.q_curr, float)
         for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
             assert np.array_equal(getattr(state, name), getattr(ref, name))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="np.longdouble has no extended precision on this platform",
+)
+def test_increment_form_matches_extended_precision():
+    # A single-mode run of 16,384 steps against the same recurrence for that
+    # mode in 80-bit long double, from the same float64 symbols and data.
+    # The step carries delta^n = U^{n+1} - U^n, whose terms are all of the
+    # size of delta; the position form, P U^n - (Q - c_n lam^2) U^{n-1}
+    # with P ~ 2 Q ~ 2 lam^2/tau^2, drifted by 3.5e-10 relative here.
+    g, tg = Grid1D(16), TimeGrid(16384, 1.0)
+    state, _ = run(forced_problem(), g, tg)
+    S, lam, mu = operators._sine_symbols([g.shape[0] - 2])
+    U_hat = operators._transform(S, state.U_curr[g.interior])
+    F_hat = operators._transform(S, mesh.sample(g, forced_problem().u0)[g.interior])
+    assert np.max(np.abs(U_hat[1:])) < 1e-15  # the run stays in mode 1
+
+    ld = np.longdouble
+    tau, h, F = ld(tg.tau), ld(g.cell), ld(F_hat[0])  # u0 = F = sin(pi x)
+    lam2, mu2, AinvD = ld(lam[0]) ** 2, ld(mu[0]) ** 2, ld(mu[0]) / ld(lam[0])
+    Q = lam2 / (tau * tau) + mu2 / 2
+    d = (tau * tau / 2) * (-AinvD * AinvD * F)  # u1 = 0 and f(., 0) = 0
+    U = F + d
+    for n in range(1, tg.N + 1):
+        V = AinvD * U
+        c = np.sqrt(1 + h * V * V) / (2 * tau) * lam2  # sqrt law, z = h V^2
+        d = (lam2 * (n * tau) ** 3 * F - mu2 * U + (Q - c) * d) / (Q + c)
+        U += d
+    assert abs(U_hat[0] - U) <= 1e-13 * abs(U)
+
+
+def test_run_keeps_only_its_outputs_per_level():
+    # A run of G grids keeps (N+1) x G energies and bounds, the times and
+    # g(t_n): the traced peak grows by at most 2G + 4 float64 per level.
+    grids = [Grid1D(J) for J in (2, 4, 8, 16, 32)]
+    problem = forced_batch(1)
+    run_batch(problem, grids, TimeGrid(64, 1.0))  # warm-up
+    peaks = []
+    for N in (4096, 16384):
+        tracemalloc.start()
+        try:
+            run_batch(problem, grids, TimeGrid(N, 1.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_level = (peaks[1] - peaks[0]) / ((16384 - 4096) * 8)
+    assert per_level <= 2 * len(grids) + 4
