@@ -154,7 +154,7 @@ def load_config(path, command: str | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     raw = path.read_bytes()
     cfg = RunConfig(path=path, raw=raw, command=command)
-    section = None
+    section, seen = None, {}
     for lineno, full_line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         where = f"{path.name}:{lineno}"
         line = _strip_comment(full_line).strip()
@@ -173,6 +173,11 @@ def load_config(path, command: str | None = None) -> RunConfig:
         parse = _KEYS[section].get(key)
         if parse is None:
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+        if key in seen:
+            raise ConfigError(
+                f"{where}: key {key!r} repeated (first given on line {seen[key]})"
+            )
+        seen[key] = lineno
         setattr(cfg, key, _convert(key, parse, value, where))
     _validate(cfg, command)
     return cfg

@@ -41,15 +41,18 @@ Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
 one) on one concatenated coefficient vector, U one running vector.  A step
-is: per-grid sums for z; one call of the law on the array of z, checked on
-Python floats; and one elementwise update of the whole batch into a row of
-a history block of delta and V, every array it writes allocated once per
-run.  A forcing f = g(t) F(x[, y]) is staged: F is transformed once per
-grid, g evaluated once on all t_n, and one outer product writes lam^2 f^n
-into a block's delta rows.  A full block's energies are taken in one pass
-(its size is a fixed number of coefficients, so it stays in cache), their
-square roots after the loop.  Of size N, a run keeps only its energies and
-bounds, the times t_n and g(t_n).
+takes the same path for any number of grids: the flips by one permutation
+gather per axis and z by one product with per-grid weight rows; one call
+of the law on the array of z, checked on Python floats; c_n lam^2 by one
+product of q_n with per-grid weight rows; and one elementwise update of
+the whole batch into a row of a history block of delta and V, every array
+it writes allocated once per run.  A forcing f = g(t) F(x[, y]) is staged:
+F is transformed once per grid, g evaluated once on all t_n, and one outer
+product writes lam^2 f^n into a block's delta rows.  A full block's
+energies are taken in one pass (its size is a fixed number of
+coefficients, so it stays in cache), their square roots after the loop.
+Of size N, a run keeps only its energies and bounds, the times t_n and
+g(t_n).
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); delta^0 = tau*u1 + (tau^2/2)*u2 with the consistent
@@ -162,13 +165,14 @@ class _SineScheme:
     Each grid's interior coefficients are flattened into one block of a
     single vector, next to the grid's symbols (lam, mu): of (A, D) on a
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
-    the per-grid sums (z, E, ||f||) reduce over the blocks, and q_n is one
-    scalar per grid.  A step (:meth:`advance`) reads U^n, the increment
-    delta^{n-1} = U^n - U^{n-1} and V^n, writes delta^n by the increment
-    form of the recurrence on U, adds it to U in place and recovers
-    V^{n+1} = A^{-1} D U^{n+1} + W (module docstring).  A step writes
-    only into arrays allocated once, with the scheme or the run (the law's
-    result aside); transforms run per grid, only at the ends of a run.
+    q_n is one scalar per grid, and the per-grid values (z, E, ||f||, q_n)
+    meet the coefficients only through weight matrices built once, so one
+    path serves any number of grids.  A step (:meth:`advance`) reads U^n,
+    the increment delta^{n-1} = U^n - U^{n-1} and V^n, writes delta^n by
+    the increment form of the recurrence on U, adds it to U in place and
+    recovers V^{n+1} = A^{-1} D U^{n+1} + W (module docstring).  A step
+    writes only into arrays allocated once, with the scheme or the run (the
+    law's result aside); transforms run per grid, only at the ends of a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -181,31 +185,20 @@ class _SineScheme:
         self.shapes = [lam.shape for lam in lams]
         sizes = [lam.size for lam in lams]
         ends = np.cumsum(sizes)
-        self.starts = ends - sizes
-        self.blocks = [slice(a, b) for a, b in zip(self.starts, ends)]
-        self.cell = np.array([g.cell for g in grids])
-        # z's flip c -> flip(c) along each axis, as one index per axis into
-        # the vector viewed as flip_shape: for a lone grid a reversed view of
-        # its block (cheaper than a gather), for a batch a permutation.
-        # owner is the grid of each coefficient.
-        axes = range(-1, -1 - len(self.shapes[0]), -1)
+        starts = ends - sizes
+        self.blocks = [slice(a, b) for a, b in zip(starts, ends)]
+        cell = np.array([g.cell for g in grids])
+        # z's flip c -> flip(c) along each axis of every grid, as one
+        # permutation of the whole vector per axis; owner is the grid of each
+        # coefficient.
         self.owner = np.repeat(np.arange(len(grids)), sizes)
-        self.lone = len(grids) == 1
-        if self.lone:
-            self.flip_shape = self.shapes[0]
-            self.flips = [
-                (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
-                for axis in axes
-            ]
-        else:
-            self.flip_shape = (-1,)
-            index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
-            self.flips = [
-                np.concatenate(
-                    [a + np.flip(i, axis).ravel() for a, i in zip(self.starts, index)]
-                )
-                for axis in axes
-            ]
+        index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
+        self.flips = [
+            np.concatenate(
+                [a + np.flip(i, axis).ravel() for a, i in zip(starts, index)]
+            )
+            for axis in range(-1, -1 - len(self.shapes[0]), -1)
+        ]
         lam = np.concatenate([x.ravel() for x in lams])
         mu = np.concatenate([x.ravel() for x in mus])
         self.size = lam.size
@@ -214,20 +207,22 @@ class _SineScheme:
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
         self.Q = self.lam2 / (tau * tau) + 0.5 * self.mu2
-        self.lam2_2tau = self.lam2 / (2.0 * tau)  # c_n lam^2 = q_n lam2_2tau
-        # z and E^2 of a grid are sums over its coefficients: products with
-        # one row (z) or column (E^2) of weights per grid, cell for z, and
-        # cell*lam2/2*((2/tau^2) delta^2 + Vh^2 + Vh-^2) for E^2
+        # Per-grid and per-coefficient values meet only in products with one
+        # row (z, ||f||^2, c_n lam^2) or column (E^2) of weights per grid, zero
+        # off its block: cell for z and ||f||^2, lam2/(2 tau) for
+        # c_n lam^2 = q_n lam2/(2 tau), and
+        # cell*lam2/2*((2/tau^2) delta^2 + Vh^2 + Vh-^2) for E^2.  One term of
+        # each sum is nonzero and q_n is finite, so spreading q_n is exact.
         owner, k = self.owner, np.arange(lam.size)
         self.z_weights = np.zeros((len(grids), lam.size))
-        self.z_weights[owner, k] = self.cell[owner]
+        self.z_weights[owner, k] = cell[owner]
+        self.c_weights = np.zeros((len(grids), lam.size))
+        self.c_weights[owner, k] = self.lam2 / (2.0 * tau)
         self.V_weights = np.zeros((lam.size, len(grids)))
-        self.V_weights[k, owner] = 0.5 * self.cell[owner] * self.lam2
+        self.V_weights[k, owner] = 0.5 * cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
-        # the step's scratch: two coefficient vectors (also viewed as
-        # flip_shape) and z
+        # the step's scratch: two coefficient vectors and z
         self.work = np.empty((2, lam.size))
-        self.flip_work = [(x.reshape(self.flip_shape), x) for x in self.work]
         self.z = np.empty(len(grids))
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
@@ -237,7 +232,7 @@ class _SineScheme:
             operators._transform(S, x).reshape(x.shape[: x.ndim - len(S)] + (-1,))
             for S, x in zip(self.S, parts)
         ]
-        return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=-1)
+        return np.concatenate(flat, axis=-1)
 
     def nodal(self, coeffs: np.ndarray) -> list[np.ndarray]:
         """Nodal fields, one per grid, of a coefficient vector (leading axes kept)."""
@@ -268,23 +263,21 @@ class _SineScheme:
 
     def norms(self, u: np.ndarray) -> np.ndarray:
         """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
-        return np.sqrt(self.cell * np.add.reduceat(u * u, self.starts))
+        return np.sqrt(np.dot(u * u, self.z_weights.T))
 
     def q(self, V: np.ndarray, law: DampingLaw, n: int) -> np.ndarray:
         """q_n per grid from z = ||V||^2 (:func:`damped_eb.damping.q_batch`),
         where c -> c + flip(c)/3 along each axis; z is written into the
         scheme's scratch."""
-        w = V.reshape(self.flip_shape)
-        for flip, (out, flat) in zip(self.flips, self.flip_work):
-            if self.lone:
-                np.multiply(w[flip], 1.0 / 3.0, out=out)
-            else:  # (mode="raise" would buffer the gather; the index is valid)
-                w.take(flip, out=out, mode="wrap")
-                out *= 1.0 / 3.0
+        w = V
+        for flip, out in zip(self.flips, self.work):
+            # (mode="raise" would buffer the gather; the index is valid)
+            w.take(flip, out=out, mode="wrap")
+            out *= 1.0 / 3.0
             out += w
             w = out
-        flat *= V
-        z = np.dot(self.z_weights, flat, out=self.z)
+        w *= V
+        z = np.dot(self.z_weights, w, out=self.z)
         return damping_mod.q_batch(z, law, n, n * self.tau, self.grids)
 
     def forcing(self, f, times: np.ndarray):
@@ -368,11 +361,7 @@ class _SineScheme:
         np.multiply(self.mu2, U, out=b)
         d_next -= b
         d_next -= DA_W
-        if self.lone:  # q as a 0-d view, which broadcasts cheapest
-            np.multiply(self.lam2_2tau, q[..., 0], out=c)
-        else:
-            q.take(self.owner, out=c, mode="wrap")  # spread q by one gather
-            c *= self.lam2_2tau
+        np.dot(q, self.c_weights, out=c)  # c_n lam^2
         np.subtract(self.Q, c, out=b)
         b *= d
         d_next += b

@@ -106,6 +106,19 @@ def test_unknown_section_is_error(tmp_path):
         load_config(path)
 
 
+def test_repeated_key_is_error_but_repeated_section_is_not(tmp_path):
+    lines = TINY_1D.strip().splitlines()
+    first = lines.index("J = 4") + 1
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n[grid]\nJ = 8\n")
+    with pytest.raises(
+        ConfigError,
+        match=rf"run\.cfg:{len(lines) + 2}: key 'J' repeated .*line {first}\)",
+    ):
+        load_config(path)
+    path = write_cfg(tmp_path, TINY_1D.replace("J = 4", "") + "\n[grid]\nJ = 8\n")
+    assert load_config(path).J == 8
+
+
 def test_error_message_carries_line_number(tmp_path):
     lines = TINY_1D.strip().splitlines()
     idx = lines.index("J = 4")
