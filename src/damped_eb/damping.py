@@ -51,8 +51,8 @@ class DampingLaw:
     P'; either may be None when unknown (they are hypotheses of the
     stability/convergence statements; :func:`validate_law` samples both).
     The steppers enforce that each z_n = ||V^n||^2 is finite, so P is only
-    evaluated on [0, inf), and that each q_n is finite, >= 0 and, when p0 is
-    given, >= p0 (:func:`q_checked`).
+    evaluated on [0, inf), and that each q_n is admissible (:meth:`admits`,
+    :func:`q_checked`).
     """
 
     name: str
@@ -62,6 +62,15 @@ class DampingLaw:
 
     def __call__(self, z: float) -> float:
         return float(self.func(z))
+
+    @property
+    def floor(self) -> float:
+        """The least admissible q, max(0, p0)."""
+        return max(0.0, self.p0 or 0.0)
+
+    def admits(self, q: float) -> bool:
+        """The law's hypothesis on a damping coefficient: q finite and >= floor."""
+        return self.floor <= q < math.inf
 
 
 def constant_law(c: float = 1.0) -> DampingLaw:
@@ -156,13 +165,12 @@ def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
         q = law(z) if math.isfinite(z) else math.nan
     except expr_mod.DomainError:
         q = math.nan
-    floor = max(0.0, law.p0 or 0.0)
-    if not (math.isfinite(z) and floor <= q < math.inf):
+    if not (math.isfinite(z) and law.admits(q)):
         on = "" if grid is None else f" on {grid!r}"
         raise DampingError(
             f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
             f"{law.name!r} and z = ||V||^2 = {z:.6g}{on}; z must be finite, q finite "
-            f"and >= {floor:g}"
+            f"and >= {law.floor:g}"
         )
     return q
 
@@ -176,7 +184,7 @@ def q_batch(z: np.ndarray, law: DampingLaw, n: int, t: float, grids) -> np.ndarr
     :class:`DampingError` for the first grid that fails.  The checks run
     on the whole batch at once: the sum of every z and q is finite exactly
     when each is (a sum that overflows only sends the batch to the
-    per-grid checks), and then the least q bounds every q from below.
+    per-grid checks), and then every q is admissible when the least is.
     """
     zs = z.tolist()
     try:
@@ -184,7 +192,7 @@ def q_batch(z: np.ndarray, law: DampingLaw, n: int, t: float, grids) -> np.ndarr
         if q.shape != z.shape:  # a scalar law value holds for every grid
             q = np.full(z.shape, q)
         qs = q.tolist()
-        if math.isfinite(sum(zs) + sum(qs)) and max(0.0, law.p0 or 0.0) <= min(qs):
+        if math.isfinite(sum(zs) + sum(qs)) and law.admits(min(qs)):
             return q
     except Exception:  # a DomainError, or a law that takes floats only
         pass
@@ -216,8 +224,9 @@ class LawReport:
 def validate_law(law: DampingLaw, z_max: float, samples: int = 1000) -> LawReport:
     """Sample P on [0, z_max] and report violations of its claimed bounds.
 
-    Checks P >= p0 (when p0 given), monotone nondecrease, and the
-    Lipschitz bound on consecutive samples (when given).  Violations are
+    Checks that each sample is a q the steppers admit
+    (:meth:`DampingLaw.admits`), monotone nondecrease, and the Lipschitz
+    bound on consecutive samples (when given).  Violations are
     reported, not raised; raises ValueError on z_max <= 0 and
     :class:`DampingError` naming the first sample z where P is undefined.
     """
@@ -232,9 +241,7 @@ def validate_law(law: DampingLaw, z_max: float, samples: int = 1000) -> LawRepor
             raise DampingError(
                 f"law {law.name!r} is undefined at z = {z:.6g}: {exc}"
             ) from None
-    lower = []
-    if law.p0 is not None:
-        lower = [(float(z), float(p)) for z, p in zip(zs, ps) if p < law.p0]
+    lower = [(z, p) for z, p in zip(zs.tolist(), ps.tolist()) if not law.admits(p)]
     mono = [
         (float(zs[i]), float(ps[i + 1] - ps[i]))
         for i in range(len(zs) - 1)

@@ -189,6 +189,8 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, offset = self.advance()
         if kind == "num":
+            if not np.isfinite(float(text)):
+                raise ParseError(f"number {text} overflows a float", offset)
             return Const(float(text))
         if kind == "-":
             return Neg(self.expression(_UNARY_PREC))

@@ -48,11 +48,11 @@ product of q_n with per-grid weight rows; and one elementwise update of
 the whole batch into a row of a history block of delta and V, every array
 it writes allocated once per run.  A forcing f = g(t) F(x[, y]) is staged:
 F is transformed once per grid, g evaluated once on all t_n, and one outer
-product writes lam^2 f^n into a block's delta rows.  A full block's
-energies are taken in one pass (its size is a fixed number of
-coefficients, so it stays in cache), their square roots after the loop.
-Of size N, a run keeps only its energies and bounds, the times t_n and
-g(t_n).
+product writes lam^2 f^n into a block's rows of f.  A full block's
+energies (and, for a caller's hook, energy-balance defects) are taken in
+one pass (its size is a fixed number of coefficients, so it stays in
+cache), their square roots after the loop.  Of size N, a run keeps only
+its energies and bounds, the times t_n and g(t_n).
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); delta^0 = tau*u1 + (tau^2/2)*u2 with the consistent
@@ -62,8 +62,10 @@ The module also carries the discrete energy
 
     E^n = sqrt(||A dU^{n+1}/tau||^2 + (||A V^{n+1}||^2 + ||A V^n||^2)/2),
 
-which is non-increasing step by step when f = 0, the companion stability
-bound E^n <= E^0 + 2 tau sum ||f^j||, and an RK4 method-of-lines
+whose balance E_n^2 - E_{n-1}^2 + q_n/(2 tau) ||A s||^2 = (A f^n, A s),
+s = U^{n+1} - U^{n-1}, holds at every step (the scheme's first equation
+against A s), so E is non-increasing when f = 0; the companion stability
+bound E^n <= E^0 + 2 tau sum ||f^j||; and an RK4 method-of-lines
 integrator for the spatially semi-discrete beam, used as an independent
 reference solution (nodal stencils and solves of A only).
 """
@@ -346,20 +348,19 @@ class _SineScheme:
         window = (U0, U1, V0, self.AinvD * U1)
         return window, d, q0, [(W, self.DA * W), (zero, zero)]
 
-    def advance(self, U, d, V, offset, n: int, law: DampingLaw, out):
+    def advance(self, U, d, V, F, offset, n: int, law: DampingLaw, out):
         """q_n per grid; writes delta^n and V^{n+1} into ``out`` and adds
         delta^n to U in place.
 
-        Reads U^n, d = delta^{n-1}, V^n and the offset (W, D A W) of level
-        n - 1, which is that of level n + 1.  The first array of ``out``
-        holds the coefficients of lam^2 f^n on entry.
+        Reads U^n, d = delta^{n-1}, V^n, the coefficients F of lam^2 f^n and
+        the offset (W, D A W) of level n - 1, which is that of level n + 1.
         """
         q = self.q(V, law, n)
         b, c = self.work
         W, DA_W = offset
         d_next, V_next = out
         np.multiply(self.mu2, U, out=b)
-        d_next -= b
+        np.subtract(F, b, out=d_next)
         d_next -= DA_W
         np.dot(q, self.c_weights, out=c)  # c_n lam^2
         np.subtract(self.Q, c, out=b)
@@ -378,6 +379,16 @@ class _SineScheme:
         V (one more); by Parseval ||A u|| = ||lam * uh||."""
         V2 = (V * V) @ self.V_weights
         return (D * D) @ self.dU_weights + V2[1:] + V2[:-1]
+
+    def balance(self, E2_prev, E2, D, F, q) -> np.ndarray:
+        """Defect per grid (columns) of the energy balance (module docstring)
+        of each step n: rows of E2, F and q hold E_n^2, lam^2 f^n and q_n, of
+        D delta^{n-1}, delta^n, ... (one more), s = U^{n+1} - U^{n-1}."""
+        s = D[1:] + D[:-1]
+        As2 = (s * s) @ self.V_weights  # ||A s||^2 / 2
+        As2 *= q / self.tau
+        As2 -= (F * s) @ self.z_weights.T  # (A f^n, A s)
+        return As2 + np.diff(E2, axis=0, prepend=E2_prev[None])
 
 
 def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
@@ -402,8 +413,9 @@ def step(
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
     U_next = U.copy()
-    out = (scheme.lam2 * f_hat, np.empty_like(V))
-    q = scheme.advance(U_next, U - U_prev, V, (W, scheme.DA * W), state.n, law, out)
+    out = (np.empty_like(U), np.empty_like(V))
+    F = scheme.lam2 * f_hat
+    q = scheme.advance(U_next, U - U_prev, V, F, (W, scheme.DA * W), state.n, law, out)
     (new,) = scheme.states(state.n + 1, (U, U_next, V, out[1]), q)
     return new
 
@@ -420,38 +432,46 @@ def run_batch(
     problem,
     grids: list[Grid],
     tg: TimeGrid,
-    observers: tuple = (),
+    on_block=None,
 ) -> tuple[list[StepperState], np.ndarray, np.ndarray]:
     """Run ``problem`` on several grids of its dimension at once, N steps
     each with the same time grid (ending at U^{N+1}, time T).
 
     All runs advance together in one time loop, on one vector of sine
     coefficients; when f is a product g(t) * F(x[, y]), F is transformed
-    once per grid and g evaluated once per run.  Observers are called with each
-    grid's state after startup and after every step.  Returns the final
-    state of each grid, in the order of ``grids``, and two arrays of shape
+    once per grid and g evaluated once per run.  Returns the final state of
+    each grid, in the order of ``grids``, and two arrays of shape
     (N+1, len(grids)): the energy E^n of each grid and its running
     stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  Besides the times t_n
     (and g(t_n)), these are the only arrays of a run that grow with N.  A
     :class:`damped_eb.damping.DampingError` names the grid whose run failed.
+
+    ``on_block``, if given, is called as each block of levels n0..n0+m-1
+    completes (the blocks cover 0..N in order) with n0 and views, valid
+    during the call, of shape (m, len(grids)): q_n, z_n = ||V^n||^2, E_n^2
+    and the defect of the energy balance (module docstring; 0 at n = 0).
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
-
-    def observe(n, i, q):
-        for state in scheme.states(n, (U - D[i], U, V[i - 1], V[i]), q):
-            for obs in observers:
-                obs(state)
-
-    # History of delta and V in blocks of `rows` windows, window i being
-    # (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1} and V^n in, the
-    # steps fill rows 1.. (a delta row holds lam^2 f^n, staged at the
-    # block's start, until its step), and a full block's energies take one pass.
+    # History of delta, V, lam^2 f^n, q_n and z_n in blocks of `rows`
+    # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries
+    # delta^{n-1} and V^n in, the step that writes D[i] reads F[i] (staged
+    # at the block's start) and, with a hook, leaves its q_n and z_n in Q[i]
+    # and Z[i]; a full block's energies (and defects) take one pass.
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
-    D = np.empty((rows + 1, scheme.size))
-    V = np.empty_like(D)
-    D_row, V_row = list(D), list(V)  # views made once
+    D, V, F = np.zeros((3, rows + 1, scheme.size))
+    D_row, V_row, F_row = list(D), list(V), list(F)  # views made once
+    Q, Z = np.empty((2, rows + 1, len(grids)))
     energies = np.empty((N + 1, len(grids)))
+
+    def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
+        E2 = energies[n0 : n0 + m]
+        E2[...] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
+        if on_block is not None:
+            parts = D[: m + 1], F[1 : m + 1], Q[1 : m + 1]
+            defect = scheme.balance(energies[max(n0 - 1, 0)], E2, *parts)
+            on_block(n0, Q[1 : m + 1], Z[1 : m + 1], E2, defect)
+
     # a state that overflows is stopped by the guard on z (DampingError);
     # silence the overflow warnings it raises on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -459,22 +479,23 @@ def run_batch(
         times *= tau
         f_hat, force, bounds = scheme.forcing(problem.f, times)
         (_, U, V[0], V[1]), D[1], q, offsets = scheme.start(problem, f_hat)
-        if observers:
-            observe(1, 1, q)
+        D[0], Q[1], Z[1] = -D[1], q, scheme.z  # level 0: s = f = 0, no defect
         i = 1  # row of level n
-        force(1, D[2 : min(rows, N + 1) + 1])
+        force(1, F[2 : min(rows, N + 1) + 1])
         for n in range(1, N + 1):
             if i == rows:
-                energies[n - i : n] = scheme.squared_energy(D[1:], V)
+                close(n - i, i)
                 D[0], V[0] = D[i], V[i]
                 i = 0
-                force(n, D[1 : min(rows, N + 1 - n) + 1])
+                force(n, F[1 : min(rows, N + 1 - n) + 1])
             out = (D_row[i + 1], V_row[i + 1])
-            q = scheme.advance(U, D_row[i], V_row[i], offsets[(n - 1) & 1], n, law, out)
+            q = scheme.advance(
+                U, D_row[i], V_row[i], F_row[i + 1], offsets[(n - 1) & 1], n, law, out
+            )
             i += 1
-            if observers:
-                observe(n + 1, i, q)
-        energies[N + 1 - i :] = scheme.squared_energy(D[1 : i + 1], V[: i + 1])
+            if on_block is not None:
+                Q[i], Z[i] = q, scheme.z
+        close(N + 1 - i, i)
         np.sqrt(energies, out=energies)
         bounds[0] = 0.0  # the bound sums ||f^j|| over j >= 1
         np.cumsum(bounds, axis=0, out=bounds)
@@ -487,19 +508,18 @@ def run(
     problem,
     grid: Grid,
     tg: TimeGrid,
-    observers: tuple = (),
+    on_block=None,
 ) -> tuple[StepperState, list[EnergyRecord]]:
     """Initialize and take N steps (ending at U^{N+1}, time T): the batch of
-    one grid of :func:`run_batch`.
+    one grid of :func:`run_batch`, whose ``on_block`` hook it takes.
 
     The grid sets the dimension: a ``Grid1D`` runs a beam, a ``Grid2D`` a
-    plate.  Observers are callables invoked with the state after startup
-    and after every step.  Returns the final state and one energy record
-    per level, each carrying the running stability bound
-    E^0 + 2 tau sum ||f^j||.  The steps run on sine coefficients; nodal
-    states are built only for observers and the result.
+    plate.  Returns the final state and one energy record per level, each
+    carrying the running stability bound E^0 + 2 tau sum ||f^j||.  The
+    steps run on sine coefficients; the nodal state is built only for the
+    result.
     """
-    (state,), energies, bounds = run_batch(problem, [grid], tg, observers)
+    (state,), energies, bounds = run_batch(problem, [grid], tg, on_block)
     levels = zip(energies[:, 0].tolist(), bounds[:, 0].tolist())
     return state, [EnergyRecord(n, E, bound) for n, (E, bound) in enumerate(levels)]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from damped_eb import cli, harness
+from damped_eb import cli, harness, stepper1d
 from damped_eb.cli import ConfigError, execute, load_config, main
 
 
@@ -559,3 +559,55 @@ def test_validate_law_leaves_no_directory_when_the_law_is_undefined(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: DampingError:")
     assert not out.exists()
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(TINY_1D.encode("utf-8").replace(b"sin(pi*x)", b"sin(\xff*x)", 1))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run.cfg: not UTF-8")
+    assert not out.exists()
+
+
+def test_validate_law_reports_a_law_the_steppers_reject(tmp_path, capsys):
+    # P(0) = -1: simulate fails this law at n = 0, so validate-law flags it
+    path = write_cfg(tmp_path, TINY_1D.replace("law = sqrt", 'law = "z - 1"'))
+    out = tmp_path / "out"
+    assert main(["validate-law", "--config", str(path), "--out", str(out)]) == 0
+    assert "violations found" in capsys.readouterr().out
+    header, row = (out / "report.csv").read_text().splitlines()[1:]
+    report = dict(zip(header.split(","), row.split(",")))
+    assert float(report["p_min"]) == -1.0
+    assert int(report["lower_bound_violations"]) > 0
+
+
+def test_simulate_holds_the_energy_balance_with_an_offset_laplacian(tmp_path):
+    # lap_u0 is not the laplacian of u0, so the even and odd levels carry
+    # different offsets; a run that mixes them up breaks the balance
+    lap_u0 = 'lap_u0 = "-pi^2*sin(pi*x) + 0.5*sin(2*pi*x)"'
+    text = TINY_1D.replace('u1 = "0"', 'u1 = "0.3*sin(3*pi*x)"\n' + lap_u0)
+    text = text.replace("J = 4", "J = 8").replace("N = 16", "N = 64")
+    path = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_energy_balance_defect_exits_with_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    balance = stepper1d._SineScheme.balance
+
+    def corrupted(self, *args):
+        defect = balance(self, *args)
+        defect[5] += 1e-3
+        return defect
+
+    monkeypatch.setattr(stepper1d._SineScheme, "balance", corrupted)
+    path = write_cfg(tmp_path, TINY_1D)
+    for command in ("simulate", "energy-study"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: energy balance violated at n=5 (defect ")

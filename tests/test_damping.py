@@ -118,6 +118,22 @@ def test_validate_law_flags_lower_bound_violation():
     assert report.lower_bound_violations[0][0] == 0.0
 
 
+@pytest.mark.parametrize("spec,p0", [("z - 1", None), ("2 - z", 1.0), ("3 - z", None)])
+def test_validate_law_flags_exactly_the_samples_the_steppers_reject(spec, p0):
+    # one admissibility predicate: q finite and >= max(0, p0), with or
+    # without a claimed p0
+    law = damping.law_from_spec(spec, p0=p0)
+    report = validate_law(law, 4.0, samples=41)
+    rejected = []
+    for z in np.linspace(0.0, 4.0, 41).tolist():
+        try:
+            damping.q_checked(z, law, 0, 0.0)
+        except damping.DampingError:
+            rejected.append((z, law(z)))
+    assert rejected and report.lower_bound_violations == rejected
+    assert not report.ok
+
+
 def test_validate_law_flags_monotonicity():
     wavy = damping.DampingLaw("wavy", lambda z: 2.0 + np.sin(z), p0=0.5)
     report = validate_law(wavy, 10.0, samples=100)

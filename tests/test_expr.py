@@ -75,6 +75,13 @@ def test_unbalanced_parentheses():
     assert err.value.offset == 1
 
 
+@pytest.mark.parametrize("source,offset", [("1e400", 0), ("2*x + 1.8e308", 6)])
+def test_overflowing_literal_is_a_parse_error(source, offset):
+    with pytest.raises(ParseError, match="overflows") as err:
+        expr.parse(source)
+    assert err.value.offset == offset
+
+
 def test_empty_source():
     with pytest.raises(ParseError):
         expr.parse("")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 from damped_eb import damping, expr, mesh, operators
+from damped_eb.cli import STABILITY_TOL
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
     _BLOCK_COEFFICIENTS,
@@ -179,40 +180,106 @@ def test_step_damping_integral_matches_simpson_norm(dim, J1, J2, seed):
     assert new.q_curr == pytest.approx(mesh.norm(g, fields[3], kind) ** 2, rel=1e-13)
 
 
+def nodal_states(problem, g, tg):
+    """The states at n = 1, ..., N + 1 of the nodal init/step loop on grid g
+    alone: the one at n + 1 holds U^n, U^{n+1}, V^n, V^{n+1} and q_n."""
+    step_fn = DIMENSIONS[len(g.shape)][0]
+    states = [init(problem, g, tg)]
+    for n in range(1, tg.N + 1):
+        f_n = mesh.sample(g, problem.f, tg.t(n))
+        states.append(step_fn(states[-1], f_n, tg.tau, problem.law))
+    return states
+
+
+class Blocks:
+    """An ``on_block`` hook that keeps a copy of each block, checking that
+    the blocks arrive in order of their levels."""
+
+    def __init__(self):
+        self.parts, self.levels = [], 0
+
+    def __call__(self, n0, *arrays):
+        assert n0 == self.levels
+        self.levels += len(arrays[0])
+        self.parts.append([a.copy() for a in arrays])
+
+    def rows(self):
+        """q, z, E2 and defect, each with one row per level."""
+        return [np.concatenate(x) for x in zip(*self.parts)]
+
+
 @pytest.mark.parametrize(
     "g",
     [Grid1D(8), Grid2D(4, 4), Grid2D(2, 3), Grid2D(8, 5)],
     ids=["1d-8", "2d-4x4", "2d-2x3", "2d-8x5"],
 )
 def test_run_observers_and_records_match_nodal_steps(g):
+    # what the on_block hook observes of each level (q_n, z_n, E_n^2 and the
+    # energy-balance defect), the records and the final state, against the
+    # nodal init/step loop, and the balance of that loop from the stencils
     tg = TimeGrid(24, 1.0)
     dim = len(g.shape)
     prob = forced_problem() if dim == 1 else forced_plate_problem()
-    step_fn, energy_fn, apply_A = DIMENSIONS[dim]
-    observed = []
-    final, records = run(prob, g, tg, observers=(observed.append,))
+    _, energy_fn, apply_A = DIMENSIONS[dim]
+    blocks = Blocks()
+    final, records = run(prob, g, tg, on_block=blocks)
+    q, z, E2, defect = (x[:, 0] for x in blocks.rows())
+    states = nodal_states(prob, g, tg)
+    assert blocks.levels == len(records) == len(states) == tg.N + 1
 
     def norm_A(u):
         return mesh.norm(g, apply_A(u))
 
-    st = init(prob, g, tg)
-    assert len(observed) == len(records) == tg.N + 1
-    for n, (seen, rec) in enumerate(zip(observed, records)):
-        if n:
-            st = step_fn(st, mesh.sample(g, prob.f, tg.t(n)), tg.tau, prob.law)
-        assert seen.n == st.n == n + 1
-        for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
-            a, b = getattr(seen, name), getattr(st, name)
-            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-        assert seen.q_curr == pytest.approx(st.q_curr, rel=1e-12)
-        assert rec.n == n
-        assert rec.E == pytest.approx(energy_fn(seen, tg.tau).E, rel=1e-13)
-        stencil_E = np.sqrt(
-            norm_A((seen.U_curr - seen.U_prev) / tg.tau) ** 2
-            + 0.5 * (norm_A(seen.V_curr) ** 2 + norm_A(seen.V_prev) ** 2)
+    kind = "b" if dim == 1 else "f"
+    for n, (st, rec) in enumerate(zip(states, records)):
+        assert q[n] == pytest.approx(st.q_curr, rel=1e-12)
+        assert z[n] == pytest.approx(mesh.norm(g, st.V_prev, kind) ** 2, rel=1e-12)
+        assert rec.n == n and rec.E == math.sqrt(E2[n])
+        assert rec.E == pytest.approx(energy_fn(st, tg.tau).E, rel=1e-13)
+        stencil_E2 = norm_A((st.U_curr - st.U_prev) / tg.tau) ** 2 + 0.5 * (
+            norm_A(st.V_curr) ** 2 + norm_A(st.V_prev) ** 2
         )
-        assert rec.E == pytest.approx(stencil_E, rel=1e-12)
-    assert np.array_equal(final.U_curr, observed[-1].U_curr)
+        assert rec.E == pytest.approx(math.sqrt(stencil_E2), rel=1e-12)
+        assert abs(defect[n]) <= 1e-13 * (1.0 + E2[n])
+        if n:
+            s = st.U_curr - states[n - 1].U_prev  # U^{n+1} - U^{n-1}
+            A_f = apply_A(mesh.sample(g, prob.f, tg.t(n)))
+            balance = (
+                stencil_E2 - prev_E2 + q[n] / (2 * tg.tau) * norm_A(s) ** 2
+                - mesh.inner(g, A_f, apply_A(s))
+            )
+            assert abs(balance) <= 1e-12 * (1.0 + E2[n])
+        prev_E2 = stencil_E2
+    for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
+        a, b = getattr(final, name), getattr(states[-1], name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_balance_is_the_stencil_energy_balance_of_any_rows(dim):
+    # on arbitrary rows, which no step produced, the defect is each grid's
+    # E_n^2 - E_{n-1}^2 + q_n/(2 tau) ||A s||^2 - (A f, A s), taken with the
+    # stencils on the nodal fields of s = delta^n + delta^{n-1} and f
+    rng = np.random.default_rng(11)
+    grids, tau = BATCHES[dim], 0.1
+    apply_A = DIMENSIONS[dim][2]
+    scheme = _SineScheme(grids, tau)
+    D = rng.standard_normal((3, scheme.size))
+    F = rng.standard_normal((2, scheme.size))
+    q, E2 = rng.uniform(0.0, 3.0, (2, 2, len(grids)))
+    E2_prev = rng.uniform(0.0, 3.0, len(grids))
+    defect = scheme.balance(E2_prev, E2, D, F, q)
+    before = np.vstack((E2_prev, E2[:-1]))
+    for r in range(2):
+        s = scheme.nodal(D[r] + D[r + 1])
+        f = scheme.nodal(F[r] / scheme.lam2)
+        for k, g in enumerate(grids):
+            A_s = apply_A(s[k])
+            damped = q[r, k] / (2 * tau) * mesh.norm(g, A_s) ** 2
+            forced = mesh.inner(g, apply_A(f[k]), A_s)
+            expected = E2[r, k] - before[r, k] + damped - forced
+            scale = 1.0 + abs(damped) + abs(forced) + E2[r, k]
+            assert abs(defect[r, k] - expected) <= 1e-13 * scale
 
 
 def scheme_residuals(prev, new, q, f, tau):
@@ -258,6 +325,10 @@ def test_scheme_residual_small_after_each_step():
         st = new
 
 
+OFFSET_VELOCITIES = {
+    1: "0.3*sin(3*pi*x)",
+    2: "0.3*sin(pi*x)*sin(2*pi*y)",
+}
 OFFSET_LAPLACIANS = {
     1: "-pi^2*sin(pi*x) + 0.5*sin(2*pi*x)",
     2: "-2*pi^2*sin(pi*x)*sin(pi*y) + 0.5*sin(2*pi*x)*sin(pi*y)",
@@ -271,25 +342,31 @@ def test_scheme_holds_with_offset_laplacian(dim, sizes):
     # lap_u0 is not the laplacian of u0, so V^0 - A^{-1} D U^0 is O(1): the
     # offset of the even levels differs from that of the odd ones, and every
     # step must use the offset of its own parity
+    # (the nodal step takes its offset from the state it is given, the run
+    # from the parity of n: the residuals check the first, the run's
+    # energy-balance defects and final states the second)
     grids = [Grid1D(J) if dim == 1 else Grid2D(*J) for J in sizes]
     problem = dataclasses.replace(
-        forced_batch(dim), lap_u0=expr.parse(OFFSET_LAPLACIANS[dim])
+        forced_batch(dim),
+        u1=expr.parse(OFFSET_VELOCITIES[dim]),
+        lap_u0=expr.parse(OFFSET_LAPLACIANS[dim]),
     )
     tg = TimeGrid(12, 1.0)
-    seen = {g.shape: [] for g in grids}
-
-    def observe(state):
-        seen[state.U_curr.shape].append(state)
-
+    blocks = Blocks()
     if len(grids) == 1:
-        run(problem, grids[0], tg, observers=(observe,))
+        finals = [run(problem, grids[0], tg, on_block=blocks)[0]]
     else:
-        run_batch(problem, grids, tg, observers=(observe,))
-    for states in seen.values():
-        assert len(states) == tg.N + 1
+        finals = run_batch(problem, grids, tg, on_block=blocks)[0]
+    _, _, E2, defect = blocks.rows()
+    assert np.all(np.abs(defect) <= 1e-13 * (1.0 + E2))
+    for g, final in zip(grids, finals):
+        states = nodal_states(problem, g, tg)
         for prev, new in zip(states, states[1:]):
             r1, r2 = scheme_residuals(prev, new, new.q_curr, problem.f, tg.tau)
             assert r1 <= 1e-10 and r2 <= 1e-10
+        for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
+            a, b = getattr(final, name), getattr(states[-1], name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 def block_rows(grids):
@@ -308,17 +385,25 @@ def block_rows(grids):
     ids=["2d-lone-32", "1d-batch-2..32"],
 )
 def test_block_energies_match_energy_of_each_window(grids, N_of_rows):
-    # run_batch takes the energies of a block of levels in one pass; N = 1, a
-    # full block, and three full blocks and a partial one cover its ends
+    # run_batch takes the energies (and the hook's values) of a block of
+    # levels in one pass; N = 1, a full block, and three full blocks and a
+    # partial one cover its ends.  Each grid's nodal loop runs alone.
     dim = len(grids[0].shape)
     f = "t^3*sin(pi*x)" if dim == 1 else "t^3*sin(pi*x)*sin(pi*y)"
-    tg = TimeGrid(N_of_rows(block_rows(grids)), 1.0)
-    observed = []
-    _, energies, _ = run_batch(forced_batch(dim, f), grids, tg, (observed.append,))
-    assert len(observed) == len(grids) * (tg.N + 1)
-    for k, state in enumerate(observed):
-        E = energy(state, tg.tau).E
-        assert energies[state.n - 1, k % len(grids)] == pytest.approx(E, rel=1e-13)
+    rows = block_rows(grids)
+    tg = TimeGrid(N_of_rows(rows), 1.0)
+    problem = forced_batch(dim, f)
+    blocks = Blocks()
+    _, energies, _ = run_batch(problem, grids, tg, on_block=blocks)
+    q, z, E2, defect = blocks.rows()
+    assert len(blocks.parts) == -(-(tg.N + 1) // rows)
+    assert np.array_equal(np.sqrt(E2), energies)
+    assert np.all(np.abs(defect) <= 1e-13 * (1.0 + E2))
+    for k, g in enumerate(grids):
+        for n, state in enumerate(nodal_states(problem, g, tg)):
+            E = energy(state, tg.tau).E
+            assert energies[n, k] == pytest.approx(E, rel=1e-12)
+            assert q[n, k] == pytest.approx(state.q_curr, rel=1e-12)
 
 
 def test_run_executes_n_steps_and_records():
@@ -727,3 +812,71 @@ def test_run_keeps_only_its_outputs_per_level():
             tracemalloc.stop()
     per_level = (peaks[1] - peaks[0]) / ((16384 - 4096) * 8)
     assert per_level <= 2 * len(grids) + 4
+
+
+@pytest.mark.parametrize(
+    "g,f",
+    [
+        (Grid1D(8), "t^3*sin(pi*x)"),
+        (Grid1D(5), "sin(pi*x*t) + x"),
+        (Grid2D(4, 5), "t^3*sin(pi*x)*sin(pi*y)"),
+        (Grid2D(3, 3), "cos(3*t)*x*y + sin(pi*x*y*t)"),
+    ],
+    ids=["1d-staged", "1d-sampled", "2d-staged", "2d-sampled"],
+)
+def test_bound_is_the_first_energy_plus_2_tau_times_the_forcing_norms(g, f):
+    # recomputed from the sampled f^j alone: E^0 + 2 tau sum_{j=1..n} ||f^j||
+    problem = forced_batch(len(g.shape), f)
+    tg = TimeGrid(20, 1.0)
+    _, records = run(problem, g, tg)
+    total = 0.0
+    for n, rec in enumerate(records):
+        if n:
+            total += mesh.norm(g, mesh.sample(g, problem.f, n * tg.tau))
+        expected = records[0].E + 2.0 * tg.tau * total
+        assert rec.bound == pytest.approx(expected, rel=1e-12)
+
+
+def _sines(dim, coefficients):
+    """Expression text of sum_k c_k sin(k pi x) (times sin(pi y) on a plate)."""
+    y = "*sin(pi*y)" if dim == 2 else ""
+    return " + ".join(
+        f"({c!r})*sin({k}*pi*x){y}" for k, c in enumerate(coefficients, 1)
+    )
+
+
+coefficient = strategies.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=strategies.sampled_from([1, 2]),
+    sizes=strategies.lists(strategies.integers(2, 8), min_size=1, max_size=3),
+    law=strategies.sampled_from(REFERENCE_LAWS),
+    u0=strategies.lists(coefficient, min_size=1, max_size=3),
+    u1=strategies.lists(coefficient, min_size=1, max_size=3),
+    lap=strategies.none() | strategies.lists(coefficient, max_size=3),
+    kind=strategies.integers(0, 3),
+    N=strategies.integers(1, 40),
+)
+@example(  # an offset laplacian and u1 != 0 on Grid1D(8), N = 64
+    dim=1, sizes=[8], law="sqrt", u0=[1.0], u1=[0.0, 0.0, 0.3],
+    lap=[-9.9, 0.5], kind=0, N=64,
+)
+def test_energy_balance_holds_on_random_runs(dim, sizes, law, u0, u1, lap, kind, N):
+    # the exact energy balance of every step, at the command line's
+    # tolerance, for random data (with an offset laplacian when lap is
+    # given), laws, forcings and batches of either dimension
+    grids = [Grid1D(J) if dim == 1 else Grid2D(J, 10 - J) for J in sizes]
+    problem = forced_batch(dim, REFERENCE_F[dim][kind], damping.law_from_spec(law))
+    problem = dataclasses.replace(
+        problem,
+        u0=expr.parse(_sines(dim, u0)),
+        u1=expr.parse(_sines(dim, u1)),
+        lap_u0=None if not lap else expr.parse(_sines(dim, lap)),
+    )
+    blocks = Blocks()
+    run_batch(problem, grids, TimeGrid(N, 1.0), on_block=blocks)
+    _, _, E2, defect = blocks.rows()
+    assert blocks.levels == N + 1
+    assert np.all(np.abs(defect) <= STABILITY_TOL * (1.0 + E2))

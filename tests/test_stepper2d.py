@@ -160,15 +160,17 @@ def test_run2d_stability_bound():
 
 
 def test_run2d_symmetry_for_symmetric_data():
-    # u0, u1, f all symmetric under x <-> y on a square grid
-    collected = []
-    run2d(
-        forced_problem(),
-        Grid2D(8, 8),
-        TimeGrid(10, 1.0),
-        observers=(lambda st: collected.append(st.U_curr.copy()),),
-    )
-    for U in collected:
+    # u0, u1, f all symmetric under x <-> y on a square grid: every level of
+    # the nodal loop and the run's final state
+    prob, g, tg = forced_problem(), Grid2D(8, 8), TimeGrid(10, 1.0)
+    st = init2d(prob, g, tg)
+    collected = [st.U_prev, st.U_curr]
+    for n in range(1, tg.N + 1):
+        st = step2d(st, mesh.sample(g, prob.f, tg.t(n)), tg.tau, prob.law)
+        collected.append(st.U_curr)
+    final, _ = run2d(prob, g, tg)
+    assert np.max(np.abs(final.U_curr - st.U_curr)) <= 1e-12
+    for U in collected + [final.U_curr]:
         assert np.max(np.abs(U - U.T)) <= 1e-10 * max(1.0, np.max(np.abs(U)))
 
 

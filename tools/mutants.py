@@ -1,0 +1,148 @@
+"""Mutation check of the Tier-1 suite: one-line faults it must notice.
+
+Usage (from the repository root):
+
+    python tools/mutants.py
+
+Each mutant replaces one text in one file under ``src/damped_eb``.  It is
+applied to a fresh temporary copy of what Tier-1 reads (``src/``,
+``tests/``, ``pyproject.toml`` and ``BENCHMARK.json``), and
+``python -m pytest -q -x`` runs there (hypothesis seeded, so a result
+repeats).  A mutant whose run fails is killed; one that passes survives.  Before any run, every mutant's old text must occur
+exactly once in its file, so a refactor that moves or rewrites it breaks
+this list loudly instead of testing an unmutated copy; and the unmutated
+copy must pass.
+
+Exit status: 0 when every must-kill mutant is killed, 1 when one survives,
+2 when an old text is missing or repeated or the unmutated copy fails.
+The mutants that may survive are faults no Tier-1 test can see yet; each
+names why.
+"""
+from __future__ import annotations
+
+import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src/damped_eb")
+TIMEOUT_S = 300  # per run; a run that hangs counts as killed
+
+
+@dataclasses.dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/damped_eb
+    old: str
+    new: str
+    must_kill: bool = True
+    why: str = ""  # for a mutant that may survive: why Tier-1 misses it
+
+
+MUTANTS = [
+    Mutant("law at 2z", "stepper1d.py",
+           "q_batch(z, law, n,", "q_batch(2.0 * z, law, n,"),
+    Mutant("Simpson flip weight 1/2", "stepper1d.py",
+           "out *= 1.0 / 3.0", "out *= 1.0 / 2.0"),
+    Mutant("startup tau^2 for tau^2/2", "stepper1d.py",
+           "0.5 * tau * tau * u2", "tau * tau * u2"),
+    Mutant("sign of Q - c_n lam^2", "stepper1d.py",
+           "np.subtract(self.Q, c, out=b)", "np.subtract(c, self.Q, out=b)"),
+    Mutant("offsets of even and odd levels swapped at startup", "stepper1d.py",
+           "[(W, self.DA * W), (zero, zero)]", "[(zero, zero), (W, self.DA * W)]"),
+    Mutant("forcing one step late", "stepper1d.py",
+           "g_n[n : n + len(rows), None]", "g_n[n - 1 : n - 1 + len(rows), None]"),
+    Mutant("q_batch floor without p0", "damping.py",
+           "and law.admits(min(qs))", "and 0.0 <= min(qs)"),
+    Mutant("V^2 pairing in E^2", "stepper1d.py",
+           "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
+    Mutant("stability bound with 4 tau", "stepper1d.py",
+           "bounds *= 2.0 * tau", "bounds *= 4.0 * tau"),
+    Mutant("loop steps with the offset of the wrong parity", "stepper1d.py",
+           "offsets[(n - 1) & 1]", "offsets[n & 1]"),
+    Mutant("startup drops tau u1", "stepper1d.py",
+           "d = tau * u1 +", "d = 0.0 * u1 +", must_kill=False,
+           why="no test compares a run with u1 != 0 to an exact solution"),
+    Mutant("sign of q_0 u1 in u2", "stepper1d.py",
+           "u2 = -q0[self.owner] * u1", "u2 = q0[self.owner] * u1", must_kill=False,
+           why="no test compares a run with u1 != 0 to an exact solution"),
+    Mutant("spatial-study error weight 1/J", "harness.py",
+           "h_row = 1.0 / (2 * J)", "h_row = 1.0 / J", must_kill=False,
+           why="a constant factor leaves the orders Tier-1 checks unchanged"),
+    Mutant("validate_law Lipschitz slack 1e-1", "damping.py",
+           "(1.0 + 1e-12)", "(1.0 + 1e-1)", must_kill=False,
+           why="no sample pair lies between the two slacks"),
+]
+
+
+def check_texts() -> list[str]:
+    """One problem line per mutant whose old text is not in its file once."""
+    problems = []
+    for m in MUTANTS:
+        count = (ROOT / PACKAGE / m.file).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: {m.old!r} occurs {count} times in {m.file}")
+    return problems
+
+
+def suite_passes(mutant: Mutant | None) -> bool:
+    """Run Tier-1 with -x on a temporary copy, with ``mutant`` applied."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        for name in ("pyproject.toml", "BENCHMARK.json"):
+            shutil.copy2(ROOT / name, copy / name)
+        if mutant is not None:
+            path = copy / PACKAGE / mutant.file
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        command = [sys.executable, "-m", "pytest", "-q", "-x",
+                   "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+        env = {"PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            run = subprocess.run(
+                command, cwd=copy, env={**os.environ, **env},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return False
+        return run.returncode == 0
+
+
+def main() -> int:
+    problems = check_texts()
+    if problems:
+        for p in problems:
+            print(f"error: {p}", file=sys.stderr)
+        return 2
+    if not suite_passes(None):
+        print("error: the unmutated copy fails Tier-1", file=sys.stderr)
+        return 2
+    survivors = []
+    for m in MUTANTS:
+        start = time.perf_counter()
+        killed = not suite_passes(m)
+        verdict = "killed" if killed else "SURVIVED"
+        label = "must-kill" if m.must_kill else "may survive"
+        note = "" if killed or m.must_kill else f": {m.why}"
+        elapsed = time.perf_counter() - start
+        print(f"{verdict:8} {label:11} {elapsed:5.1f} s  {m.name}{note}", flush=True)
+        if not killed and m.must_kill:
+            survivors.append(m.name)
+    if survivors:
+        print(f"error: must-kill mutants survived: {', '.join(survivors)}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
