@@ -73,23 +73,17 @@ def apply_D(u: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Sine (DST-I) basis: eigenvectors of A and D, and per axis of H and Phi
 
-_SINE_MODES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal DST-I matrix S over m interior nodes (S = S^T = S^-1),
     with the eigenvalues mu_k of D and lambda_k of the compact average."""
-    cached = _SINE_MODES.get(m)
-    if cached is None:
-        h = 1.0 / (m + 1)
-        k = np.arange(1, m + 1)
-        jk = np.outer(k, k) % (2 * (m + 1))  # exact phase reduction
-        S = np.sqrt(2.0 * h) * np.sin(jk * np.pi * h)
-        mu = -(4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
-        lam = 1.0 + (h * h / 12.0) * mu
-        cached = (S, mu, lam)
-        _SINE_MODES[m] = cached
-    return cached
+    h = 1.0 / (m + 1)
+    k = np.arange(1, m + 1)
+    jk = np.outer(k, k) % (2 * (m + 1))  # exact phase reduction
+    S = np.sqrt(2.0 * h) * np.sin(jk * np.pi * h)
+    mu = -(4.0 / (h * h)) * np.sin(k * np.pi * h / 2.0) ** 2
+    lam = 1.0 + (h * h / 12.0) * mu
+    return S, mu, lam
 
 
 def _sine_symbols(ms) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:

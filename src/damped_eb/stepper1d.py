@@ -57,6 +57,8 @@ its energies and bounds, the times t_n and g(t_n).
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
 laplacian override); delta^0 = tau*u1 + (tau^2/2)*u2 with the consistent
 acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0, and U^1 = U^0 + delta^0.
+f^0 samples f(., 0) like u1, so a staged or sampled forcing serves only
+the steps n >= 1.
 
 The module also carries the discrete energy
 
@@ -283,10 +285,10 @@ class _SineScheme:
         return damping_mod.q_batch(z, law, n, n * self.tau, self.grids)
 
     def forcing(self, f, times: np.ndarray):
-        """The coefficients of f(., times[0]) on every grid; the map
-        (n, rows) that writes the coefficients of lam^2 f(., times[n + k])
-        into rows[k] for each k; and the array of ||f(., times[n])|| per
-        grid, whose rows are written by the map.
+        """The map (n, rows) that writes the coefficients of
+        lam^2 f(., times[n + k]) into rows[k] for each k, and the array of
+        ||f(., times[n])|| per grid, whose row n the map writes with f^n
+        (:meth:`start` samples f^0 itself).
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
         staged: F is sampled and transformed once, g evaluated on all times,
@@ -311,24 +313,23 @@ class _SineScheme:
             def staged(n, rows):
                 np.multiply(g_n[n : n + len(rows), None], lam2_F, out=rows)
 
-            return g_n[0] * F_hat, staged, norms
+            return staged, norms
 
-        def sampled(n):
-            f_hat = self.sample(f, times.item(n))
-            norms[n] = self.norms(f_hat)
-            return f_hat
-
-        def sampled_rows(n, rows):
+        def sampled(n, rows):
             for k, row in enumerate(rows, n):
-                np.multiply(self.lam2, sampled(k), out=row)
+                f_hat = self.sample(f, times.item(k))
+                norms[k] = self.norms(f_hat)
+                np.multiply(self.lam2, f_hat, out=row)
 
-        return sampled(0), sampled_rows, norms
+        return sampled, norms
 
-    def start(self, problem, f_hat: np.ndarray):
-        """Startup at n = 1, given f^0's coefficients: the window
-        (U^0, U^1, V^0, V^1), delta^0 = tau u1 + (tau^2/2) u2, q_0 per grid,
-        and the offsets (W, D A W) of the even and of the odd levels."""
+    def start(self, problem):
+        """Startup at n = 1: the window (U^0, U^1, V^0, V^1),
+        delta^0 = tau u1 + (tau^2/2) u2 with u2 = -q_0 u1 - A^{-1} D V^0 + f^0
+        (each sampled at t = 0), q_0 per grid, and the offsets (W, D A W) of
+        the even and of the odd levels."""
         tau = self.tau
+        f_hat = self.sample(problem.f, 0.0)
         U0 = self.sample(problem.u0, 0.0)
         if problem.lap_u0 is not None:
             V0 = self.sample(problem.lap_u0, 0.0)
@@ -398,8 +399,7 @@ def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _SineScheme([grid], tg.tau)
-    f_hat, _, _ = scheme.forcing(problem.f, np.zeros(1))
-    window, _, q, _ = scheme.start(problem, f_hat)
+    window, _, q, _ = scheme.start(problem)
     (state,) = scheme.states(1, window, q)
     return state
 
@@ -477,8 +477,8 @@ def run_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         times = np.arange(N + 1, dtype=float)
         times *= tau
-        f_hat, force, bounds = scheme.forcing(problem.f, times)
-        (_, U, V[0], V[1]), D[1], q, offsets = scheme.start(problem, f_hat)
+        force, bounds = scheme.forcing(problem.f, times)
+        (_, U, V[0], V[1]), D[1], q, offsets = scheme.start(problem)
         D[0], Q[1], Z[1] = -D[1], q, scheme.z  # level 0: s = f = 0, no defect
         i = 1  # row of level n
         force(1, F[2 : min(rows, N + 1) + 1])

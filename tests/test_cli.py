@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from damped_eb import cli, harness, stepper1d
 from damped_eb.cli import ConfigError, execute, load_config, main
@@ -611,3 +616,96 @@ def test_energy_balance_defect_exits_with_one_error_line(
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: energy balance violated at n=5 (defect ")
+
+
+# The config front end against arbitrary text built from cli._KEYS: valid
+# configs of either dimension with values replaced (valid and invalid ones),
+# lines dropped, repeated or added (unknown keys and sections, malformed
+# lines) and bytes that are not UTF-8.  Runs are bounded (J <= 8, N <= 64)
+# to keep Tier-1 fast; the property is about input handling, so the bound
+# hides no defect of the scheme.
+_VALUES = {
+    "dimension": ["1", "2", "3", "0", "one"],
+    "law": ["sqrt", "linear", "constant:2", "constant:-1", '"2 + z/(1+z)"',
+            '"z - 1"', '"sqrt(z - 5)"', '"z^1e400"', '"1/z"', "cubic", '"z*("'],
+    "law_p0": ["1", "0.5", "-1", "nan", "inf", "x"],
+    "u0": ['"sin(pi*x)"', '"sin(pi*x)*sin(pi*y)"', '"0"', '"log(x)"', "sin(pi*x)"],
+    "u1": ['"-sin(pi*x)"', '"0"', '"1e400"', '"x*y"', '""'],
+    "f": ['"t^3*sin(pi*x)"', '"sin(pi*x*t)"', '"sqrt(t - 0.5)*sin(pi*x)"',
+          '"exp(50*t)*sin(pi*x)*sin(pi*y)"', '"t*("'],
+    "lap_u0": ['"-pi^2*sin(pi*x)"', '"1/x"', '"sin(pi*y)"'],
+    "bilap_u0": ['"pi^4*sin(pi*x)"', '"0"', '"t"'],
+    "J": ["2", "4", "8", "1", "-3", "4.5"],
+    "J2": ["2", "6", "8", "0"],
+    "N": ["1", "16", "64", "0", "-5", "x"],
+    "N_fast": ["1", "8", "0"],
+    "T": ["1", "0.5", "1e300", "0", "-1", "inf", "nan"],
+    "N_list": ["8, 16", "2, 4, 64", "16, 8", "1, 2", "", "8, x"],
+    "N_list_fast": ["4, 8", "8, 8"],
+    "J_list": ["4, 8", "6", "4, 6, 8", "5, 10", "2, 4", "8, 4"],
+    "J_list_fast": ["4", "3"],
+    "z_max": ["10", "1e300", "0", "-1", "1e400"],
+    "samples": ["1", "50", "0", "many"],
+    "dir": ["out", '"out"'],
+}
+_OPTIONAL = ("law_p0", "lap_u0", "bilap_u0", "J2")
+_BASE = {key: values[0] for key, values in _VALUES.items() if key not in _OPTIONAL}
+_BASE_2D = {**_BASE, "dimension": "2", "u0": '"sin(pi*x)*sin(pi*y)"', "u1": '"0"',
+            "f": '"t^3*sin(pi*x)*sin(pi*y)"', "J": "4"}
+_JUNK = ["colour = 1", "[colours]", "J == 4", "no equals sign", "= 3",
+         'f = "0"  # a comment', "[problem", "samples = 5"]
+
+
+@strategies.composite
+def _config_bytes(draw):
+    entries = dict(draw(strategies.sampled_from([_BASE, _BASE_2D])))
+    keys = strategies.sampled_from([k for ks in cli._KEYS.values() for k in ks])
+    for key in draw(strategies.lists(keys, max_size=4)):
+        entries[key] = draw(strategies.sampled_from(_VALUES[key]))
+    for key in draw(strategies.lists(keys, max_size=2)):
+        entries.pop(key, None)
+    lines = []
+    for section, section_keys in cli._KEYS.items():
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {entries[k]}" for k in section_keys if k in entries]
+    for _ in range(draw(strategies.integers(0, 2))):  # repeated lines
+        lines.insert(draw(strategies.integers(0, len(lines))),
+                     draw(strategies.sampled_from(lines)))
+    for junk in draw(strategies.lists(strategies.sampled_from(_JUNK), max_size=2)):
+        lines.insert(draw(strategies.integers(0, len(lines))), junk)
+    raw = "\n".join(lines).encode("utf-8")
+    if draw(strategies.booleans()):
+        at = draw(strategies.integers(0, len(raw)))
+        bad = draw(strategies.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        raw = raw[:at] + bad + raw[at:]
+    return raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    raw=_config_bytes(),
+    command=strategies.sampled_from(cli.COMMANDS),
+    profile=strategies.sampled_from(["paper", "fast"]),
+)
+def test_main_handles_any_config_text(raw, command, profile):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        path.write_bytes(raw)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        argv = [command, "--config", str(path), "--out", str(out), "--profile", profile]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        made_dir = out.exists()
+    # a warning would reach stderr as a line that is not an error line
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code:
+        assert stdout.getvalue() == ""
+        errors = stderr.getvalue().splitlines()
+        assert errors and all(line.startswith("error: ") for line in errors)
+    else:
+        assert stderr.getvalue() == ""
+    if code == 2:
+        assert not made_dir

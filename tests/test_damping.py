@@ -146,6 +146,14 @@ def test_validate_law_flags_lipschitz():
     assert report.lipschitz_violations
 
 
+def test_validate_law_flags_a_slope_just_above_the_claimed_lipschitz_bound():
+    # the check allows only round-off above the claim, so slope 1 + 1e-6 is
+    # over it on every sample pair
+    steep = damping.DampingLaw("steep", lambda z: 1.0 + 1.000001 * z, 1.0, 1.0)
+    report = validate_law(steep, 10.0, samples=100)
+    assert len(report.lipschitz_violations) == 99
+
+
 def test_validate_law_rejects_bad_zmax():
     with pytest.raises(ValueError):
         validate_law(linear_law(), 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from damped_eb import damping, expr, harness, stepper1d
+from damped_eb import damping, expr, harness, mesh, stepper1d
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import Problem1D, run
 from damped_eb.stepper2d import Problem2D
@@ -55,6 +55,22 @@ def test_spatial_study_orders_approach_four():
     rep = harness.spatial_study(problem_1d(), 4096, [4, 8])
     assert rep.rows[1].order == pytest.approx(4.0, abs=0.4)
     assert all(row.error > 0 for row in rep.rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_spatial_study_row_is_the_l2_difference_at_shared_nodes(dim):
+    # row J from two lone runs: the coarse grid J//2 against every other
+    # node of grid J, weighted by grid J's mesh width h_row = 1/(2J)
+    problem, J, N = (problem_1d(), 8, 64) if dim == 1 else (problem_2d(), 4, 16)
+    rep = harness.spatial_study(problem, N, [J])
+    fine, coarse = (
+        run(problem, mesh.grid_for(dim, K), TimeGrid(N, 1.0))[0].U_curr
+        for K in (J, J // 2)
+    )
+    diff = coarse - fine[(slice(None, None, 2),) * dim]
+    h_row = 1.0 / (2 * J)
+    error = np.sqrt(h_row**dim * np.sum(diff * diff))
+    assert rep.rows[0].error == pytest.approx(error, rel=1e-10)
 
 
 def test_studies_reject_unordered_lists():

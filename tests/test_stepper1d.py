@@ -550,17 +550,16 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     grids = BATCHES[dim]
     scheme = _SineScheme(grids, 0.1)
     times = np.array([0.0, 0.37, 1.0])
-    f_0, f_at, f_norms = scheme.forcing(tree, times)
+    f_at, f_norms = scheme.forcing(tree, times)
     rows = np.empty((len(times) - 1, scheme.size))
-    f_at(1, rows)  # lam^2 f^n of the steps n = 1, 2; f_0 is the startup's f^0
-    for n, t in enumerate(times.tolist()):
-        f_hat = rows[n - 1] if n else scheme.lam2 * f_0
-        f_norm = f_norms[n]
+    f_at(1, rows)  # lam^2 f^n of the steps n = 1, 2; the startup samples f^0
+    for n, t in enumerate(times.tolist()[1:], 1):
         ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
         ref *= scheme.lam2
-        assert np.max(np.abs(f_hat - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        err = np.max(np.abs(rows[n - 1] - ref))
+        assert err <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
-        assert f_norm == pytest.approx(norms, rel=1e-13, abs=1e-300)
+        assert f_norms[n] == pytest.approx(norms, rel=1e-13, abs=1e-300)
 
 
 def test_staged_forcing_samples_only_at_startup(monkeypatch):
@@ -572,11 +571,11 @@ def test_staged_forcing_samples_only_at_startup(monkeypatch):
         calls.clear()
         run(forced_problem(), Grid1D(8), TimeGrid(N, 1.0))
         counts.append(len(calls))
-    assert counts[0] == counts[1]  # u0, u1 and the space factor of f
+    assert counts == [4, 4]  # u0, u1, the space factor of f and f^0
     calls.clear()
     mixed = dataclasses.replace(forced_problem(), f=expr.parse("sin(pi*x*t)"))
     run(mixed, Grid1D(8), TimeGrid(16, 1.0))
-    assert len(calls) == counts[0] + 16  # sampled at every step
+    assert len(calls) == 3 + 16  # u0, u1, f^0, then f at every step
 
 
 @pytest.mark.parametrize(
