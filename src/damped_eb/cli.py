@@ -59,7 +59,6 @@ _KEYS = {
     "problem": {
         "dimension": int, "law": str, "law_p0": float,
         "u0": expr_mod.parse, "u1": expr_mod.parse, "f": expr_mod.parse,
-        "lap_u0": expr_mod.parse, "bilap_u0": expr_mod.parse,
     },
     "grid": {"J": int, "J2": int},
     "time": {"N": int, "N_fast": int, "T": float},
@@ -96,8 +95,6 @@ class RunConfig:
     u0: object | None = None
     u1: object | None = None
     f: object | None = None
-    lap_u0: object | None = None
-    bilap_u0: object | None = None
     law: str | None = None
     law_p0: float | None = None
     J: int | None = None
@@ -228,6 +225,12 @@ def _validate(cfg: RunConfig, command: str | None):
                 raise ConfigError(
                     f"{name}: {key} uses variable y but dimension = 1"
                 )
+    for key in ("u0", "u1"):  # initial data, sampled at t = 0
+        tree = getattr(cfg, key)
+        if tree is not None and expr_mod.uses_variable(tree, "t"):
+            raise ConfigError(
+                f"{name}: {key} uses variable t but initial data may not depend on t"
+            )
     if cfg.law is not None:
         try:
             damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
@@ -359,8 +362,6 @@ def _build_problem(cfg: RunConfig):
         f=cfg.f,
         law=law,
         T=cfg.T,
-        lap_u0=cfg.lap_u0,
-        bilap_u0=cfg.bilap_u0,
     )
 
 

@@ -15,16 +15,14 @@ q_n = P(||V^n||^2), the b-norm (1D) resp. f-norm (2D) realizing Simpson's
 rule.  Both operators are diagonal in the (tensor) sine (DST-I) basis of
 the interior, so one scheme, whose dimension comes from the grid, steps
 the sine coefficients (hats) elementwise; lam and mu denote the symbols of
-A and D.  As A and D commute, the second equation says that the offset
-W^n = V^n - A^{-1} D U^n has W^{n+1} = W^{n-1}: W takes one value on even
-and one on odd levels, both fixed by the startup window (and zero unless
-an analytic laplacian of u0 is given).  So V needs no recursion of its
-own, V^n = A^{-1} D U^n + W_{n mod 2}, and substituting it into the first
-equation premultiplied by A leaves a recurrence on U alone.  It is stepped
-in its increment (summed) form: with delta^n = U^{n+1} - U^n,
+A and D.  As A and D commute and the startup sets V^0 = A^{-1} D U^0 and
+V^1 = A^{-1} D U^1, the second equation gives V^n = A^{-1} D U^n at every
+level of a run.  So V needs no recursion of its own, and substituting it
+into the first equation premultiplied by A leaves a recurrence on U alone.
+It is stepped in its increment (summed) form: with delta^n = U^{n+1} - U^n,
 c_n = q_n/(2 tau) and Q = lam^2/tau^2 + mu^2/2,
 
-    (Q + c_n lam^2) deltah^n = lam^2 fh^n - mu^2 Uh^n - mu lam Wh_{(n-1) mod 2}
+    (Q + c_n lam^2) deltah^n = lam^2 fh^n - mu^2 Uh^n
                                + (Q - c_n lam^2) deltah^{n-1},
     Uh^{n+1} = Uh^n + deltah^n.
 
@@ -37,6 +35,10 @@ q_n needs no inverse transform either: interior node j has Simpson weight
 h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
 so along each axis c -> h (c + flip(c)/3), and ||V||^2 = sum Vh (weighted
 Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
+
+The nodal :func:`step` takes any window: its offset W = V^{n-1} - A^{-1} D
+U^{n-1}, which the second equation carries to V^{n+1}, enters the right
+side as -mu lam Wh and is added to the recovered V^{n+1}.
 
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
@@ -54,11 +56,11 @@ one pass (its size is a fixed number of coefficients, so it stays in
 cache), their square roots after the loop.  Of size N, a run keeps only
 its energies and bounds, the times t_n and g(t_n).
 
-Startup: U^0 samples u0; V^0 = A^{-1} D U^0 (or samples an analytic
-laplacian override); delta^0 = tau*u1 + (tau^2/2)*u2 with the consistent
-acceleration u2 = -q(0)*u1 - A^{-1} D V^0 + f^0, and U^1 = U^0 + delta^0.
-f^0 samples f(., 0) like u1, so a staged or sampled forcing serves only
-the steps n >= 1.
+Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
+(tau^2/2)*u2 with the consistent acceleration
+u2 = -q(0)*u1 - A^{-1} D V^0 + f^0, and U^1 = U^0 + delta^0.  f^0 samples
+f(., 0) like u1, so a staged or sampled forcing serves only the steps
+n >= 1.
 
 The module also carries the discrete energy
 
@@ -117,10 +119,8 @@ class Problem1D:
     """Problem data u_tt + q u_t + u_xxxx = f on (0,1) with hinged ends.
 
     ``u0``/``u1``/``f`` are expression trees or callables ``(x, t)``;
-    u0 and u1 must not depend on t.  ``lap_u0``/``bilap_u0`` optionally
-    supply the analytic laplacian / bilaplacian of u0 for the startup
-    (otherwise both are realized discretely).  ``dimension`` names the
-    grid the problem lives on (the plate subclass sets 2).
+    u0 and u1 must not depend on t.  ``dimension`` names the grid the
+    problem lives on (the plate subclass sets 2).
     """
 
     dimension: ClassVar[int] = 1
@@ -129,8 +129,6 @@ class Problem1D:
     f: object
     law: DampingLaw
     T: float
-    lap_u0: object | None = None
-    bilap_u0: object | None = None
 
 
 @dataclasses.dataclass
@@ -174,7 +172,7 @@ class _SineScheme:
     path serves any number of grids.  A step (:meth:`advance`) reads U^n,
     the increment delta^{n-1} = U^n - U^{n-1} and V^n, writes delta^n by
     the increment form of the recurrence on U, adds it to U in place and
-    recovers V^{n+1} = A^{-1} D U^{n+1} + W (module docstring).  A step
+    recovers V^{n+1} = A^{-1} D U^{n+1} (module docstring).  A step
     writes only into arrays allocated once, with the scheme or the run (the
     law's result aside); transforms run per grid, only at the ends of a run.
     """
@@ -326,43 +324,31 @@ class _SineScheme:
     def start(self, problem):
         """Startup at n = 1: the window (U^0, U^1, V^0, V^1),
         delta^0 = tau u1 + (tau^2/2) u2 with u2 = -q_0 u1 - A^{-1} D V^0 + f^0
-        (each sampled at t = 0), q_0 per grid, and the offsets (W, D A W) of
-        the even and of the odd levels."""
+        (each sampled at t = 0), and q_0 per grid."""
         tau = self.tau
         f_hat = self.sample(problem.f, 0.0)
         U0 = self.sample(problem.u0, 0.0)
-        if problem.lap_u0 is not None:
-            V0 = self.sample(problem.lap_u0, 0.0)
-        else:
-            V0 = self.AinvD * U0
+        V0 = self.AinvD * U0
         q0 = self.q(V0, problem.law, 0)
-        if problem.bilap_u0 is not None:
-            bilap = self.sample(problem.bilap_u0, 0.0)
-        else:
-            bilap = self.AinvD * V0
+        bilap = self.AinvD * V0
         u1 = self.sample(problem.u1, 0.0)
         u2 = -q0[self.owner] * u1 - bilap + f_hat
         d = tau * u1 + 0.5 * tau * tau * u2
         U1 = U0 + d
-        W = V0 - self.AinvD * U0
-        zero = np.zeros_like(W)
         window = (U0, U1, V0, self.AinvD * U1)
-        return window, d, q0, [(W, self.DA * W), (zero, zero)]
+        return window, d, q0
 
-    def advance(self, U, d, V, F, offset, n: int, law: DampingLaw, out):
+    def advance(self, U, d, V, F, n: int, law: DampingLaw, out):
         """q_n per grid; writes delta^n and V^{n+1} into ``out`` and adds
         delta^n to U in place.
 
-        Reads U^n, d = delta^{n-1}, V^n, the coefficients F of lam^2 f^n and
-        the offset (W, D A W) of level n - 1, which is that of level n + 1.
+        Reads U^n, d = delta^{n-1}, V^n and the coefficients F of lam^2 f^n.
         """
         q = self.q(V, law, n)
         b, c = self.work
-        W, DA_W = offset
         d_next, V_next = out
         np.multiply(self.mu2, U, out=b)
         np.subtract(F, b, out=d_next)
-        d_next -= DA_W
         np.dot(q, self.c_weights, out=c)  # c_n lam^2
         np.subtract(self.Q, c, out=b)
         b *= d
@@ -371,7 +357,6 @@ class _SineScheme:
         d_next /= c
         U += d_next
         np.multiply(self.AinvD, U, out=V_next)
-        V_next += W
         return q
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -399,7 +384,7 @@ def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _SineScheme([grid], tg.tau)
-    window, _, q, _ = scheme.start(problem)
+    window, _, q = scheme.start(problem)
     (state,) = scheme.states(1, window, q)
     return state
 
@@ -407,16 +392,18 @@ def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
 def step(
     state: StepperState, f_n: np.ndarray, tau: float, law: DampingLaw
 ) -> StepperState:
-    """Advance one level: solve for U^{n+1}, then recover V^{n+1}."""
+    """Advance any window one level: solve for U^{n+1}, then recover V^{n+1},
+    carrying the window's offset W (module docstring)."""
     scheme = _scheme_of(state, tau)
     f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
     U_next = U.copy()
-    out = (np.empty_like(U), np.empty_like(V))
-    F = scheme.lam2 * f_hat
-    q = scheme.advance(U_next, U - U_prev, V, F, (W, scheme.DA * W), state.n, law, out)
-    (new,) = scheme.states(state.n + 1, (U, U_next, V, out[1]), q)
+    d_next, V_next = np.empty_like(U), np.empty_like(V)
+    F = scheme.lam2 * f_hat - scheme.DA * W
+    q = scheme.advance(U_next, U - U_prev, V, F, state.n, law, (d_next, V_next))
+    V_next += W
+    (new,) = scheme.states(state.n + 1, (U, U_next, V, V_next), q)
     return new
 
 
@@ -478,7 +465,7 @@ def run_batch(
         times = np.arange(N + 1, dtype=float)
         times *= tau
         force, bounds = scheme.forcing(problem.f, times)
-        (_, U, V[0], V[1]), D[1], q, offsets = scheme.start(problem)
+        (_, U, V[0], V[1]), D[1], q = scheme.start(problem)
         D[0], Q[1], Z[1] = -D[1], q, scheme.z  # level 0: s = f = 0, no defect
         i = 1  # row of level n
         force(1, F[2 : min(rows, N + 1) + 1])
@@ -489,9 +476,7 @@ def run_batch(
                 i = 0
                 force(n, F[1 : min(rows, N + 1 - n) + 1])
             out = (D_row[i + 1], V_row[i + 1])
-            q = scheme.advance(
-                U, D_row[i], V_row[i], F_row[i + 1], offsets[(n - 1) & 1], n, law, out
-            )
+            q = scheme.advance(U, D_row[i], V_row[i], F_row[i + 1], n, law, out)
             i += 1
             if on_block is not None:
                 Q[i], Z[i] = q, scheme.z

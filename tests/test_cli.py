@@ -588,14 +588,34 @@ def test_validate_law_reports_a_law_the_steppers_reject(tmp_path, capsys):
     assert int(report["lower_bound_violations"]) > 0
 
 
-def test_simulate_holds_the_energy_balance_with_an_offset_laplacian(tmp_path):
-    # lap_u0 is not the laplacian of u0, so the even and odd levels carry
-    # different offsets; a run that mixes them up breaks the balance
-    lap_u0 = 'lap_u0 = "-pi^2*sin(pi*x) + 0.5*sin(2*pi*x)"'
-    text = TINY_1D.replace('u1 = "0"', 'u1 = "0.3*sin(3*pi*x)"\n' + lap_u0)
-    text = text.replace("J = 4", "J = 8").replace("N = 16", "N = 64")
+@pytest.mark.parametrize(
+    "old,new,key",
+    [('u1 = "0"', 'u1 = "t*sin(pi*x)"', "u1"),
+     ('u0 = "sin(pi*x)"', 'u0 = "sin(pi*x)*exp(-t)"', "u0")],
+    ids=["u1", "u0"],
+)
+def test_initial_data_that_depends_on_t_is_a_config_error(
+    tmp_path, capsys, old, new, key
+):
+    # the startup samples u0 and u1 at t = 0 only, so a t in them would be
+    # dropped without a word
+    path = write_cfg(tmp_path, TINY_1D.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: run.cfg: {key} uses variable t but initial data may "
+                   f"not depend on t"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["lap_u0", "bilap_u0"])
+def test_analytic_laplacian_overrides_are_unknown_keys(tmp_path, capsys, key):
+    # the startup realizes both from u0 discretely; no override is read
+    text = TINY_1D.replace('u1 = "0"', f'u1 = "0"\n{key} = "-pi^2*sin(pi*x)"')
     path = write_cfg(tmp_path, text)
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"unknown key {key!r} in [problem]" in err[0]
 
 
 def test_energy_balance_defect_exits_with_one_error_line(
@@ -630,11 +650,9 @@ _VALUES = {
             '"z - 1"', '"sqrt(z - 5)"', '"z^1e400"', '"1/z"', "cubic", '"z*("'],
     "law_p0": ["1", "0.5", "-1", "nan", "inf", "x"],
     "u0": ['"sin(pi*x)"', '"sin(pi*x)*sin(pi*y)"', '"0"', '"log(x)"', "sin(pi*x)"],
-    "u1": ['"-sin(pi*x)"', '"0"', '"1e400"', '"x*y"', '""'],
+    "u1": ['"-sin(pi*x)"', '"0"', '"1e400"', '"x*y"', '""', '"t*sin(pi*x)"'],
     "f": ['"t^3*sin(pi*x)"', '"sin(pi*x*t)"', '"sqrt(t - 0.5)*sin(pi*x)"',
           '"exp(50*t)*sin(pi*x)*sin(pi*y)"', '"t*("'],
-    "lap_u0": ['"-pi^2*sin(pi*x)"', '"1/x"', '"sin(pi*y)"'],
-    "bilap_u0": ['"pi^4*sin(pi*x)"', '"0"', '"t"'],
     "J": ["2", "4", "8", "1", "-3", "4.5"],
     "J2": ["2", "6", "8", "0"],
     "N": ["1", "16", "64", "0", "-5", "x"],
@@ -648,7 +666,7 @@ _VALUES = {
     "samples": ["1", "50", "0", "many"],
     "dir": ["out", '"out"'],
 }
-_OPTIONAL = ("law_p0", "lap_u0", "bilap_u0", "J2")
+_OPTIONAL = ("law_p0", "J2")
 _BASE = {key: values[0] for key, values in _VALUES.items() if key not in _OPTIONAL}
 _BASE_2D = {**_BASE, "dimension": "2", "u0": '"sin(pi*x)*sin(pi*y)"', "u1": '"0"',
             "f": '"t^3*sin(pi*x)*sin(pi*y)"', "J": "4"}

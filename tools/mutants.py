@@ -53,8 +53,6 @@ MUTANTS = [
            "0.5 * tau * tau * u2", "tau * tau * u2"),
     Mutant("sign of Q - c_n lam^2", "stepper1d.py",
            "np.subtract(self.Q, c, out=b)", "np.subtract(c, self.Q, out=b)"),
-    Mutant("offsets of even and odd levels swapped at startup", "stepper1d.py",
-           "[(W, self.DA * W), (zero, zero)]", "[(zero, zero), (W, self.DA * W)]"),
     Mutant("forcing one step late", "stepper1d.py",
            "g_n[n : n + len(rows), None]", "g_n[n - 1 : n - 1 + len(rows), None]"),
     Mutant("q_batch floor without p0", "damping.py",
@@ -63,8 +61,6 @@ MUTANTS = [
            "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
     Mutant("stability bound with 4 tau", "stepper1d.py",
            "bounds *= 2.0 * tau", "bounds *= 4.0 * tau"),
-    Mutant("loop steps with the offset of the wrong parity", "stepper1d.py",
-           "offsets[(n - 1) & 1]", "offsets[n & 1]"),
     Mutant("startup drops tau u1", "stepper1d.py",
            "d = tau * u1 +", "d = 0.0 * u1 +"),
     Mutant("sign of q_0 u1 in u2", "stepper1d.py",
@@ -75,6 +71,10 @@ MUTANTS = [
            "h_row = 1.0 / (2 * J)", "h_row = 1.0 / J"),
     Mutant("validate_law Lipschitz slack 1e-1", "damping.py",
            "(1.0 + 1e-12)", "(1.0 + 1e-1)"),
+    Mutant("sign of the window's D A W in the nodal step", "stepper1d.py",
+           "- scheme.DA * W", "+ scheme.DA * W"),
+    Mutant("nodal step drops W from V^{n+1}", "stepper1d.py",
+           "V_next += W", "V_next += 0.0 * W"),
 ]
 
 
