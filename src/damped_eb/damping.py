@@ -29,8 +29,7 @@ __all__ = [
     "simpson_1d",
     "simpson_2d",
     "q_coefficient",
-    "q_checked",
-    "q_batch",
+    "check_levels",
     "validate_law",
 ]
 
@@ -46,13 +45,12 @@ class DampingLaw:
     The steppers call ``func`` once per step on the ndarray of z, one per
     grid; it may return a scalar, which holds for every grid.  A ``func``
     that raises on the array (one written for floats, say) is called per
-    grid on floats instead (:func:`q_batch`).  ``p0`` is the
+    grid on floats instead (:meth:`evaluate`).  ``p0`` is the
     claimed positive lower bound of P and ``lipschitz`` the claimed bound on
     P'; either may be None when unknown (they are hypotheses of the
     stability/convergence statements; :func:`validate_law` samples both).
-    The steppers enforce that each z_n = ||V^n||^2 is finite, so P is only
-    evaluated on [0, inf), and that each q_n is admissible (:meth:`admits`,
-    :func:`q_checked`).
+    The steppers enforce that each z_n = ||V^n||^2 is finite and that each
+    q_n is admissible (:meth:`admits`, :func:`check_levels`).
     """
 
     name: str
@@ -71,6 +69,19 @@ class DampingLaw:
     def admits(self, q: float) -> bool:
         """The law's hypothesis on a damping coefficient: q finite and >= floor."""
         return self.floor <= q < math.inf
+
+    def evaluate(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Write q = P(z) per grid into ``out``: one call of ``func`` on the
+        array z or, when that raises, one per grid on floats, with q = nan
+        where z is non-finite or P undefined (:class:`~damped_eb.expr.DomainError`)."""
+        try:
+            out[...] = self.func(z)
+        except Exception:  # a DomainError, or a law that takes floats only
+            for k, z_k in enumerate(map(float, z)):
+                try:
+                    out[k] = self(z_k) if math.isfinite(z_k) else math.nan
+                except expr_mod.DomainError:
+                    out[k] = math.nan
 
 
 def constant_law(c: float = 1.0) -> DampingLaw:
@@ -149,54 +160,29 @@ def q_coefficient(V: np.ndarray, law: DampingLaw) -> float:
     return law(norm(grid_of(V.shape), V, kind) ** 2)
 
 
-def q_checked(z: float, law: DampingLaw, n: int, t: float, grid=None) -> float:
-    """q_n = P(z) with z = ||V^n||^2, for a fully discrete step at level n, time t.
+def check_levels(law: DampingLaw, z, q, n0: int, tau: float, grids) -> None:
+    """The steppers' guard: raise :class:`DampingError` unless each z_n =
+    ||V^n||^2 is finite and each q_n admissible (:meth:`DampingLaw.admits`).
 
-    Raises :class:`DampingError` when z is non-finite (the state stopped
-    being finite; P is not evaluated), when q_n is negative or non-finite
-    (a law undefined at z, raising :class:`~damped_eb.expr.DomainError`,
-    counts as q_n = nan), which voids the scheme's stability (and, for
-    a <= 0, its solvability), or when q_n falls below the law's claimed
-    lower bound p0.  The message names ``grid`` (by its repr, e.g.
-    ``Grid1D(J=8)``) when one is given, so that a batch of runs says which
-    run failed.
+    Row k of ``z`` and ``q`` holds level n0 + k, column g grid ``grids[g]``.
+    One test covers all rows: the sum of every z and q is finite exactly
+    when each is (one that overflows only sends the rows to the scan), and
+    then every q is admissible when the least is.  Only when it fails are
+    the levels scanned; the error names the first failing level's n, t =
+    n tau, z, q (nan for a non-finite z) and grid (e.g. ``Grid1D(J=8)``).
     """
-    try:
-        q = law(z) if math.isfinite(z) else math.nan
-    except expr_mod.DomainError:
-        q = math.nan
-    if not (math.isfinite(z) and law.admits(q)):
-        on = "" if grid is None else f" on {grid!r}"
-        raise DampingError(
-            f"damping coefficient q = {q!r} at n = {n}, t = {t:.6g} from law "
-            f"{law.name!r} and z = ||V||^2 = {z:.6g}{on}; z must be finite, q finite "
-            f"and >= {law.floor:g}"
-        )
-    return q
-
-
-def q_batch(z: np.ndarray, law: DampingLaw, n: int, t: float, grids) -> np.ndarray:
-    """q_n per grid of a batch of runs, z holding ||V^n||^2 per grid.
-
-    Calls ``law.func`` once on the array z.  When that call raises, or any
-    grid's z or q fails the checks of :func:`q_checked`, every grid's q_n
-    is taken by :func:`q_checked` instead, which raises its
-    :class:`DampingError` for the first grid that fails.  The checks run
-    on the whole batch at once: the sum of every z and q is finite exactly
-    when each is (a sum that overflows only sends the batch to the
-    per-grid checks), and then every q is admissible when the least is.
-    """
-    zs = z.tolist()
-    try:
-        q = np.asarray(law.func(z), dtype=float)
-        if q.shape != z.shape:  # a scalar law value holds for every grid
-            q = np.full(z.shape, q)
-        qs = q.tolist()
-        if math.isfinite(sum(zs) + sum(qs)) and law.admits(min(qs)):
-            return q
-    except Exception:  # a DomainError, or a law that takes floats only
-        pass
-    return np.array([q_checked(z_i, law, n, t, g) for z_i, g in zip(zs, grids)])
+    with np.errstate(over="ignore"):
+        if math.isfinite(z.sum() + q.sum()) and law.admits(q.min()):
+            return
+    for n, (z_n, q_n) in enumerate(zip(z.tolist(), q.tolist()), n0):
+        for z_g, q_g, grid in zip(z_n, q_n, grids):
+            q_g = q_g if math.isfinite(z_g) else math.nan
+            if not law.admits(q_g):
+                raise DampingError(
+                    f"damping coefficient q = {q_g!r} at n = {n}, t = {n * tau:.6g} "
+                    f"from law {law.name!r} and z = ||V||^2 = {z_g:.6g} on {grid!r}; "
+                    f"z must be finite, q finite and >= {law.floor:g}"
+                )
 
 
 @dataclasses.dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mesh
 from .mesh import TimeGrid
-from .stepper1d import run, run_batch
+from .stepper1d import run_batch
 
 __all__ = [
     "ReportRow",
@@ -89,7 +89,7 @@ def temporal_study(
     grid = mesh.grid_for(problem.dimension, J, J2)
     Ns = sorted(set(N_list) | {N // 2 for N in N_list})
     tgs = {N: TimeGrid(N, problem.T) for N in Ns}
-    terminal = {N: run(problem, grid, tg)[0].U_curr for N, tg in tgs.items()}
+    terminal = {N: run_batch(problem, [grid], tg)[0][0].U_curr for N, tg in tgs.items()}
     errors = [mesh.norm(grid, terminal[N] - terminal[N // 2]) for N in N_list]
     rows = [
         ReportRow(N, tgs[N].tau, tgs[N // 2].tau, err, order)

@@ -45,16 +45,18 @@ study steps all its grids in one time loop; a single run is a batch of
 one) on one concatenated coefficient vector, U one running vector.  A step
 takes the same path for any number of grids: the flips by one permutation
 gather per axis and z by one product with per-grid weight rows; one call
-of the law on the array of z, checked on Python floats; c_n lam^2 by one
-product of q_n with per-grid weight rows; and one elementwise update of
-the whole batch into a row of a history block of delta and V, every array
-it writes allocated once per run.  A forcing f = g(t) F(x[, y]) is staged:
-F is transformed once per grid, g evaluated once on all t_n, and one outer
-product writes lam^2 f^n into a block's rows of f.  A full block's
-energies (and, for a caller's hook, energy-balance defects) are taken in
-one pass (its size is a fixed number of coefficients, so it stays in
-cache), their square roots after the loop.  Of size N, a run keeps only
-its energies and bounds, the times t_n and g(t_n).
+of the law on the array of z; c_n lam^2 by one product of q_n with
+per-grid weight rows; and one elementwise update of the whole batch into
+a row of a history block of delta, V, z and q, every array it writes
+allocated once per run.  A forcing f = g(t) F(x[, y]) is staged: F is
+transformed once per grid, g evaluated once on all t_n, and one outer
+product writes lam^2 f^n into a block's rows of f.  A full block passes
+one damping guard (a failure is raised at the end of the block that holds
+it but names the failing level), and its energies (and, for a caller's
+hook, energy-balance defects) are taken in one pass (its size is a fixed
+number of coefficients, so it stays in cache), their square roots after
+the loop.  Of size N, a run keeps only its energies and bounds, the times
+t_n and g(t_n).
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
@@ -170,7 +172,7 @@ class _SineScheme:
     q_n is one scalar per grid, and the per-grid values (z, E, ||f||, q_n)
     meet the coefficients only through weight matrices built once, so one
     path serves any number of grids.  A step (:meth:`advance`) reads U^n,
-    the increment delta^{n-1} = U^n - U^{n-1} and V^n, writes delta^n by
+    the increment delta^{n-1} = U^n - U^{n-1} and q_n, writes delta^n by
     the increment form of the recurrence on U, adds it to U in place and
     recovers V^{n+1} = A^{-1} D U^{n+1} (module docstring).  A step
     writes only into arrays allocated once, with the scheme or the run (the
@@ -223,9 +225,8 @@ class _SineScheme:
         self.V_weights = np.zeros((lam.size, len(grids)))
         self.V_weights[k, owner] = 0.5 * cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
-        # the step's scratch: two coefficient vectors and z
+        # the step's scratch: two coefficient vectors
         self.work = np.empty((2, lam.size))
-        self.z = np.empty(len(grids))
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -267,10 +268,9 @@ class _SineScheme:
         """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
         return np.sqrt(np.dot(u * u, self.z_weights.T))
 
-    def q(self, V: np.ndarray, law: DampingLaw, n: int) -> np.ndarray:
-        """q_n per grid from z = ||V||^2 (:func:`damped_eb.damping.q_batch`),
-        where c -> c + flip(c)/3 along each axis; z is written into the
-        scheme's scratch."""
+    def integral(self, V: np.ndarray, z: np.ndarray) -> None:
+        """Writes z = ||V||^2 per grid into ``z``, where c -> c + flip(c)/3
+        along each axis."""
         w = V
         for flip, out in zip(self.flips, self.work):
             # (mode="raise" would buffer the gather; the index is valid)
@@ -279,8 +279,7 @@ class _SineScheme:
             out += w
             w = out
         w *= V
-        z = np.dot(self.z_weights, w, out=self.z)
-        return damping_mod.q_batch(z, law, n, n * self.tau, self.grids)
+        np.dot(self.z_weights, w, out=z)
 
     def forcing(self, f, times: np.ndarray):
         """The map (n, rows) that writes the coefficients of
@@ -321,30 +320,32 @@ class _SineScheme:
 
         return sampled, norms
 
-    def start(self, problem):
-        """Startup at n = 1: the window (U^0, U^1, V^0, V^1),
+    def start(self, problem, z0, q0):
+        """Startup at n = 1: the window (U^0, U^1, V^0, V^1) and
         delta^0 = tau u1 + (tau^2/2) u2 with u2 = -q_0 u1 - A^{-1} D V^0 + f^0
-        (each sampled at t = 0), and q_0 per grid."""
+        (each sampled at t = 0; z_0 and q_0 per grid written, unchecked, into
+        z0 and q0).  Raises ValueError when an expression u0 or u1 uses t."""
+        for key in ("u0", "u1"):
+            if expr_mod.uses_variable(getattr(problem, key), "t"):
+                raise ValueError(f"{key} uses t, but initial data may not depend on t")
         tau = self.tau
         f_hat = self.sample(problem.f, 0.0)
         U0 = self.sample(problem.u0, 0.0)
         V0 = self.AinvD * U0
-        q0 = self.q(V0, problem.law, 0)
+        self.integral(V0, z0)
+        problem.law.evaluate(z0, q0)
         bilap = self.AinvD * V0
         u1 = self.sample(problem.u1, 0.0)
         u2 = -q0[self.owner] * u1 - bilap + f_hat
         d = tau * u1 + 0.5 * tau * tau * u2
         U1 = U0 + d
         window = (U0, U1, V0, self.AinvD * U1)
-        return window, d, q0
+        return window, d
 
-    def advance(self, U, d, V, F, n: int, law: DampingLaw, out):
-        """q_n per grid; writes delta^n and V^{n+1} into ``out`` and adds
-        delta^n to U in place.
-
-        Reads U^n, d = delta^{n-1}, V^n and the coefficients F of lam^2 f^n.
-        """
-        q = self.q(V, law, n)
+    def advance(self, U, d, q, F, out) -> None:
+        """Writes delta^n and V^{n+1} into ``out`` and adds delta^n to U in
+        place, given U^n, d = delta^{n-1}, q_n per grid and the coefficients
+        F of lam^2 f^n."""
         b, c = self.work
         d_next, V_next = out
         np.multiply(self.mu2, U, out=b)
@@ -357,7 +358,6 @@ class _SineScheme:
         d_next /= c
         U += d_next
         np.multiply(self.AinvD, U, out=V_next)
-        return q
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
         """E^2 per grid (columns) of each window (delta^k, V^k, V^{k+1}),
@@ -384,8 +384,11 @@ def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _SineScheme([grid], tg.tau)
-    window, _, q = scheme.start(problem)
-    (state,) = scheme.states(1, window, q)
+    z, q = np.empty((2, 1, 1))  # level 0 of one grid
+    with np.errstate(all="ignore"):  # a failing q_0 is raised by the guard
+        window, _ = scheme.start(problem, z[0], q[0])
+    damping_mod.check_levels(problem.law, z, q, 0, tg.tau, scheme.grids)
+    (state,) = scheme.states(1, window, q[0])
     return state
 
 
@@ -401,9 +404,13 @@ def step(
     U_next = U.copy()
     d_next, V_next = np.empty_like(U), np.empty_like(V)
     F = scheme.lam2 * f_hat - scheme.DA * W
-    q = scheme.advance(U_next, U - U_prev, V, F, state.n, law, (d_next, V_next))
+    z, q = np.empty((2, 1, 1))  # level n of one grid
+    scheme.integral(V, z[0])
+    law.evaluate(z[0], q[0])
+    damping_mod.check_levels(law, z, q, state.n, tau, scheme.grids)
+    scheme.advance(U_next, U - U_prev, q[0], F, (d_next, V_next))
     V_next += W
-    (new,) = scheme.states(state.n + 1, (U, U_next, V, V_next), q)
+    (new,) = scheme.states(state.n + 1, (U, U_next, V, V_next), q[0])
     return new
 
 
@@ -431,27 +438,28 @@ def run_batch(
     (N+1, len(grids)): the energy E^n of each grid and its running
     stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  Besides the times t_n
     (and g(t_n)), these are the only arrays of a run that grow with N.  A
-    :class:`damped_eb.damping.DampingError` names the grid whose run failed.
+    :class:`damped_eb.damping.DampingError` names the failing level and grid.
 
     ``on_block``, if given, is called as each block of levels n0..n0+m-1
-    completes (the blocks cover 0..N in order) with n0 and views, valid
-    during the call, of shape (m, len(grids)): q_n, z_n = ||V^n||^2, E_n^2
-    and the defect of the energy balance (module docstring; 0 at n = 0).
+    passes the guard (the blocks cover 0..N in order) with n0 and views,
+    valid during the call, of shape (m, len(grids)): q_n, z_n = ||V^n||^2,
+    E_n^2 and the defect of the energy balance (module docstring; 0 at n = 0).
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
-    # History of delta, V, lam^2 f^n, q_n and z_n in blocks of `rows`
-    # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries
-    # delta^{n-1} and V^n in, the step that writes D[i] reads F[i] (staged
-    # at the block's start) and, with a hook, leaves its q_n and z_n in Q[i]
-    # and Z[i]; a full block's energies (and defects) take one pass.
+    # History of delta, V, lam^2 f^n, z_n and q_n in blocks of `rows`
+    # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1}
+    # and V^n in, the step that writes D[i] reads F[i] (staged at the block's
+    # start) and writes its z_n and q_n into Z[i] and Q[i]; a full block is
+    # checked by one guard, then its energies (and defects) take one pass.
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
     D, V, F = np.zeros((3, rows + 1, scheme.size))
-    D_row, V_row, F_row = list(D), list(V), list(F)  # views made once
-    Q, Z = np.empty((2, rows + 1, len(grids)))
+    Z, Q = np.empty((2, rows + 1, len(grids)))
+    D_row, V_row, F_row, Z_row, Q_row = map(list, (D, V, F, Z, Q))  # views, once
     energies = np.empty((N + 1, len(grids)))
 
     def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
+        damping_mod.check_levels(law, Z[1 : m + 1], Q[1 : m + 1], n0, tau, grids)
         E2 = energies[n0 : n0 + m]
         E2[...] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
         if on_block is not None:
@@ -459,34 +467,40 @@ def run_batch(
             defect = scheme.balance(energies[max(n0 - 1, 0)], E2, *parts)
             on_block(n0, Q[1 : m + 1], Z[1 : m + 1], E2, defect)
 
-    # a state that overflows is stopped by the guard on z (DampingError);
-    # silence the overflow warnings it raises on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a failing level (or an overflow) is raised by the guard as its block
+    # closes; silence the warnings of the levels after it, thrown away then
+    with np.errstate(all="ignore"):
         times = np.arange(N + 1, dtype=float)
         times *= tau
         force, bounds = scheme.forcing(problem.f, times)
-        (_, U, V[0], V[1]), D[1], q = scheme.start(problem)
-        D[0], Q[1], Z[1] = -D[1], q, scheme.z  # level 0: s = f = 0, no defect
-        i = 1  # row of level n
-        force(1, F[2 : min(rows, N + 1) + 1])
-        for n in range(1, N + 1):
-            if i == rows:
-                close(n - i, i)
-                D[0], V[0] = D[i], V[i]
-                i = 0
-                force(n, F[1 : min(rows, N + 1 - n) + 1])
-            out = (D_row[i + 1], V_row[i + 1])
-            q = scheme.advance(U, D_row[i], V_row[i], F_row[i + 1], n, law, out)
-            i += 1
-            if on_block is not None:
-                Q[i], Z[i] = q, scheme.z
-        close(N + 1 - i, i)
+        (_, U, V[0], V[1]), D[1] = scheme.start(problem, Z[1], Q[1])
+        D[0] = -D[1]  # level 0: s = f = 0, no defect
+        n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1
+        try:
+            force(1, F[2 : min(rows, N + 1) + 1])
+            for n in range(1, N + 1):
+                if i == rows:
+                    close(n0, i)
+                    D[0], V[0] = D[i], V[i]
+                    force(n, F[1 : min(rows, N + 1 - n) + 1])
+                    n0, i = n, 0
+                z, q, out = Z_row[i + 1], Q_row[i + 1], (D_row[i + 1], V_row[i + 1])
+                scheme.integral(V_row[i], z)
+                law.evaluate(z, q)
+                scheme.advance(U, D_row[i], q, F_row[i + 1], out)
+                i += 1
+        except damping_mod.DampingError:  # from the guard of a closing block
+            raise
+        except Exception:  # from a law, forcing or hook: name an earlier failure first
+            damping_mod.check_levels(law, Z[1 : i + 1], Q[1 : i + 1], n0, tau, grids)
+            raise
+        close(n0, i)
         np.sqrt(energies, out=energies)
         bounds[0] = 0.0  # the bound sums ||f^j|| over j >= 1
         np.cumsum(bounds, axis=0, out=bounds)
         bounds *= 2.0 * tau
         bounds += energies[0]
-    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), q), energies, bounds
+    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), Q[i]), energies, bounds
 
 
 def run(

@@ -126,8 +126,9 @@ def test_validate_law_flags_exactly_the_samples_the_steppers_reject(spec, p0):
     report = validate_law(law, 4.0, samples=41)
     rejected = []
     for z in np.linspace(0.0, 4.0, 41).tolist():
+        z_n, q_n = np.array([[z]]), np.array([[law(z)]])
         try:
-            damping.q_checked(z, law, 0, 0.0)
+            damping.check_levels(law, z_n, q_n, 0, 0.1, [mesh.Grid1D(4)])
         except damping.DampingError:
             rejected.append((z, law(z)))
     assert rejected and report.lower_bound_violations == rejected

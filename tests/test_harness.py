@@ -44,6 +44,21 @@ def test_temporal_study_orders_approach_two():
     assert all(row.error > 0 for row in rep.rows)
 
 
+def test_temporal_study_keeps_only_the_terminal_state_of_each_run():
+    # each N steps as a batch of one grid; no per-level record is built
+    calls = []
+
+    def spy(problem, grids, tg):
+        calls.append((len(grids), tg.N))
+        return stepper1d.run_batch(problem, grids, tg)
+
+    with mock.patch.object(harness, "run_batch", spy), mock.patch.object(
+        stepper1d, "EnergyRecord", side_effect=AssertionError
+    ):
+        harness.temporal_study(problem_1d(), 8, [4, 8, 16])
+    assert sorted(calls) == [(1, 2), (1, 4), (1, 8), (1, 16)]
+
+
 def test_temporal_study_records_both_steps():
     rep = harness.temporal_study(problem_1d(), 8, [16, 32])
     row = rep.rows[0]

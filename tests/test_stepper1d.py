@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -575,7 +576,7 @@ def test_batch_holds_grids_of_one_dimension():
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_batch_damping_integrals_match_simpson_norms(dim):
     # a batch computes z per grid through flip permutations of the
-    # concatenated coefficients; with P(z) = z each q is that grid's norm
+    # concatenated coefficients; each z is that grid's norm
     rng = np.random.default_rng(7)
     grids, kind = BATCHES[dim], "b" if dim == 1 else "f"
     fields = [
@@ -584,10 +585,10 @@ def test_batch_damping_integrals_match_simpson_norms(dim):
     ]
     scheme = _SineScheme(grids, 0.1)
     V = scheme.sine([u[g.interior] for u, g in zip(fields, grids)])
-    identity = damping.DampingLaw("identity", lambda z: z)
-    q = scheme.q(V, identity, 1)
+    z = np.empty(len(grids))
+    scheme.integral(V, z)
     norms = [mesh.norm(g, u, kind) ** 2 for g, u in zip(grids, fields)]
-    assert q == pytest.approx(norms, rel=1e-13)
+    assert z == pytest.approx(norms, rel=1e-13)
 
 
 def forced_batch(dim, f="t^3*sin(pi*x)", law=None):
@@ -658,7 +659,7 @@ def test_law_of_floats_only_is_evaluated_per_grid(func, array_func, sizes):
 
 def scalar_only(law):
     """``law`` evaluated one z at a time: every step takes the per-grid
-    q_checked path."""
+    path on floats."""
 
     def func(z):
         if isinstance(z, np.ndarray):
@@ -719,6 +720,89 @@ def test_batch_matches_per_grid_q_checked_reference(dim, sizes, law, kind, N):
         assert state.q_curr == ref.q_curr and isinstance(state.q_curr, float)
         for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
             assert np.array_equal(getattr(state, name), getattr(ref, name))
+
+
+# with q = 1, z = ||V^n||^2 grows from 0 under each forcing; a law that
+# leaves its hypotheses once z passes z_fail does so inside an energy block
+# (68 rows for the 1D batch, 36 for the lone 2D grid)
+GROWING = {
+    1: ([Grid1D(J) for J in (2, 4, 8, 16, 32)], "1000*t*sin(pi*x)", 1000.0),
+    2: ([Grid2D(8, 8)], "1000*t*sin(pi*x)*sin(pi*y)", 100.0),
+}
+
+
+def growing_problem(dim, func):
+    """The growing run of GROWING[dim] with the law ``func``, p0 = 1."""
+    zero, f = expr.parse("0"), expr.parse(GROWING[dim][1])
+    law = damping.DampingLaw("threshold", func, p0=1.0)
+    return (Problem1D if dim == 1 else Problem2D)(zero, zero, f, law, 1.0)
+
+
+def named_failure(err):
+    """(n, t, z, q, grid) as a DampingError names them."""
+    pattern = r"q = (\S+) at n = (\d+), t = (\S+) from law .* = (\S+) on (.+);"
+    q, n, t, z, grid = re.search(pattern, str(err)).groups()
+    return int(n), float(t), float(z), float(q), grid
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d-batch", "2d-lone"])
+def test_failure_inside_a_block_is_named_as_the_nodal_steps_name_it(dim):
+    # q drops below p0 at a level that neither starts nor ends its block; the
+    # guard raises as that block closes, naming the level, time, z, q and
+    # grid that the nodal init/step loop on that grid names at once, and the
+    # hook gets every block before it, never the failing one
+    grids, _, z_fail = GROWING[dim]
+    problem = growing_problem(dim, lambda z: np.where(z < z_fail, 1.0, 0.5))
+    tg = TimeGrid(200, 1.0)
+    rows = max(2, _BLOCK_COEFFICIENTS // _SineScheme(grids, tg.tau).size)
+    assert rows == (68 if dim == 1 else 36)
+    blocks = Blocks()
+    with pytest.raises(damping.DampingError) as err:
+        run_batch(problem, grids, tg, on_block=blocks)
+    n, t, z, q, name = named_failure(err.value)
+    assert n > rows and 0 < n % rows < rows - 1
+    assert blocks.levels == n - n % rows
+    (grid,) = [g for g in grids if repr(g) == name]
+    with pytest.raises(damping.DampingError) as nodal:
+        nodal_states(problem, grid, tg)
+    n_ref, t_ref, z_ref, q_ref, name_ref = named_failure(nodal.value)
+    assert (n, t, q, name) == (n_ref, t_ref, q_ref, name_ref) and q == 0.5
+    assert z == pytest.approx(z_ref, rel=1e-5)  # printed to 6 digits
+
+
+def test_law_raising_after_a_failed_level_still_names_that_level():
+    # a law of floats only leaves its hypotheses at one level and raises an
+    # error that is no DomainError some levels later in the same block; the
+    # run still raises the DampingError of the failed level
+    grids, _, z_fail = GROWING[1]
+    raised = []
+
+    def func(z):
+        if isinstance(z, np.ndarray):
+            raise TypeError("the law takes one z at a time")
+        if z >= 1.4 * z_fail:
+            raised.append(z)
+            raise OverflowError("z too large for this law")
+        return 1.0 if z < z_fail else 0.5
+
+    tg = TimeGrid(200, 1.0)
+    with pytest.raises(damping.DampingError) as err:
+        run_batch(growing_problem(1, func), grids, tg)
+    assert raised  # the law raised after the failed level, before its block closed
+    array_law = growing_problem(1, lambda z: np.where(z < z_fail, 1.0, 0.5))
+    with pytest.raises(damping.DampingError) as ref:
+        run_batch(array_law, grids, tg)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("key", ["u0", "u1"])
+def test_initial_data_that_depend_on_t_are_rejected(key):
+    # the startup samples u0 and u1 at t = 0, so u1 = t*sin(pi*x) used to
+    # run as u1 = 0 without a word
+    problem = dataclasses.replace(forced_problem(), **{key: expr.parse("t*sin(pi*x)")})
+    for start in (run, init):
+        with pytest.raises(ValueError, match=f"^{key} uses t"):
+            start(problem, Grid1D(4), TimeGrid(8, 1.0))
 
 
 @pytest.mark.skipif(

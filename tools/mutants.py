@@ -45,8 +45,8 @@ class Mutant:
 
 
 MUTANTS = [
-    Mutant("law at 2z", "stepper1d.py",
-           "q_batch(z, law, n,", "q_batch(2.0 * z, law, n,"),
+    Mutant("law at 2z", "damping.py",
+           "out[...] = self.func(z)", "out[...] = self.func(2.0 * z)"),
     Mutant("Simpson flip weight 1/2", "stepper1d.py",
            "out *= 1.0 / 3.0", "out *= 1.0 / 2.0"),
     Mutant("startup tau^2 for tau^2/2", "stepper1d.py",
@@ -55,8 +55,16 @@ MUTANTS = [
            "np.subtract(self.Q, c, out=b)", "np.subtract(c, self.Q, out=b)"),
     Mutant("forcing one step late", "stepper1d.py",
            "g_n[n : n + len(rows), None]", "g_n[n - 1 : n - 1 + len(rows), None]"),
-    Mutant("q_batch floor without p0", "damping.py",
-           "and law.admits(min(qs))", "and 0.0 <= min(qs)"),
+    Mutant("guard's one test without p0", "damping.py",
+           "and law.admits(q.min())", "and 0.0 <= q.min()"),
+    Mutant("guard's scan names n0 for every level", "damping.py",
+           "at n = {n}, t = {n * tau:.6g}", "at n = {n0}, t = {n0 * tau:.6g}"),
+    Mutant("block closes without the guard", "stepper1d.py",
+           "damping_mod.check_levels(law, Z[1 : m + 1]",
+           "(lambda *args: None)(law, Z[1 : m + 1]"),
+    Mutant("a law that raises hides an earlier failed level", "stepper1d.py",
+           "damping_mod.check_levels(law, Z[1 : i + 1]",
+           "(lambda *args: None)(law, Z[1 : i + 1]"),
     Mutant("V^2 pairing in E^2", "stepper1d.py",
            "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
     Mutant("stability bound with 4 tau", "stepper1d.py",
