@@ -36,7 +36,7 @@ from . import damping as damping_mod
 from . import expr as expr_mod
 from . import harness, mesh
 from .mesh import TimeGrid
-from .stepper1d import Problem1D, run, stability_check
+from .stepper1d import Problem1D, bound_violations, run_batch
 from .stepper2d import Problem2D
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "execute", "main", "entry"]
@@ -248,31 +248,21 @@ def _validate(cfg: RunConfig, command: str | None):
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, comment: str, header: list[str], rows) -> None:
     lines = [f"# {comment}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join("" if v is None else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _energy_svg(records, caption: str) -> str:
+def _energy_svg(energies: list[float], caption: str) -> str:
     width, height = 640, 400
     ml, mr, mt, mb = 80, 20, 40, 50
     # decimate long runs; a 32768-point polyline adds nothing visually
-    stride = max(1, len(records) // 2048)
-    pts = records[::stride]
-    if pts[-1] is not records[-1]:
-        pts = list(pts) + [records[-1]]
-    ns = [r.n for r in pts]
-    es = [r.E for r in pts]
+    ns = list(range(0, len(energies), max(1, len(energies) // 2048)))
+    if ns[-1] != len(energies) - 1:
+        ns.append(len(energies) - 1)
+    es = [energies[n] for n in ns]
     emin, emax = min(es), max(es)
     espan = (emax - emin) or 1.0
     nspan = (ns[-1] - ns[0]) or 1
@@ -415,20 +405,19 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
             if rel[k] > worst[0]:
                 worst[:] = rel[k], n0 + k
 
-        state, records = run(problem, grid, tg, on_block=check_balance)
+        (state,), energies, bounds = run_batch(problem, [grid], tg, check_balance)
+        E, bound = energies[:, 0], bounds[:, 0]
+        energy = E.tolist()
         _write_csv(
             out / "report.csv",
             comment,
             ["n", "energy", "bound"],
-            [(r.n, r.E, r.bound) for r in records],
+            zip(range(len(energy)), energy, bound.tolist()),
         )
-        problems = []
-        stability = stability_check(records, STABILITY_TOL)
-        if not stability.ok:
-            problems += [
-                f"stability bound violated at n={n} (excess {excess:.3e})"
-                for n, excess in stability.violations
-            ]
+        problems = [
+            f"stability bound violated at n={n} (excess {excess:.3e})"
+            for n, excess in bound_violations(E, bound, STABILITY_TOL)
+        ]
         if worst[0] > STABILITY_TOL:
             problems.append(
                 f"energy balance violated at n={worst[1]} (defect {worst[0]:.3e} "
@@ -440,7 +429,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
                 f"J={cfg.J}, N={N}"
             )
             (out / "energy.svg").write_text(
-                _energy_svg(records, caption), encoding="utf-8"
+                _energy_svg(energy, caption), encoding="utf-8"
             )
         else:
             _write_solution(out / "solution.csv", comment, grid, state)
@@ -457,11 +446,10 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
 def _write_solution(path: Path, comment: str, grid, state) -> None:
     """One row per node: index (j, resp. i and j), coordinates, U and V."""
     d = len(grid.shape)
-    rows = [
-        (*idx, *(a[k] for a, k in zip(grid.axes, idx)))
-        + (state.U_curr[idx], state.V_curr[idx])
-        for idx in np.ndindex(grid.shape)
-    ]
+    index = np.indices(grid.shape).reshape(d, -1)  # nodes in C order
+    coords = [a[k] for a, k in zip(grid.axes, index)]
+    columns = [*index, *coords, state.U_curr.ravel(), state.V_curr.ravel()]
+    rows = zip(*(c.tolist() for c in columns))
     _write_csv(path, comment, [*"ij"[-d:], *"xy"[:d], "U", "V"], rows)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "grid2d",
     "grid_for",
     "grid_of",
+    "evaluate",
     "sample",
     "inner",
     "norm",
@@ -135,8 +136,8 @@ def _eval_on(f, coords, t):
     return f(*coords, t)
 
 
-def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
-    """Evaluate ``f`` at the nodes; boundary values are forced to exact zero.
+def evaluate(grid: Grid, f, t: float = 0.0) -> np.ndarray:
+    """Evaluate ``f`` at every node, boundary included (a read-only array).
 
     ``f`` may be an expression tree or a callable ``f(x, t)`` / ``f(x, y, t)``
     accepting numpy arrays (on a plate, x and y come as the open mesh, a
@@ -148,8 +149,14 @@ def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
     except expr_mod.DomainError:
         _locate_domain_error(grid, f, t)
         raise
+    return np.broadcast_to(values, grid.shape)
+
+
+def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
+    """:func:`evaluate` ``f`` at the nodes; boundary values are forced to
+    exact zero."""
     out = np.zeros(grid.shape)
-    out[grid.interior] = np.broadcast_to(values, grid.shape)[grid.interior]
+    out[grid.interior] = evaluate(grid, f, t)[grid.interior]
     return out
 
 

@@ -100,6 +100,7 @@ __all__ = [
     "energy",
     "run",
     "run_batch",
+    "bound_violations",
     "stability_check",
     "mol_reference",
 ]
@@ -121,8 +122,10 @@ class Problem1D:
     """Problem data u_tt + q u_t + u_xxxx = f on (0,1) with hinged ends.
 
     ``u0``/``u1``/``f`` are expression trees or callables ``(x, t)``;
-    u0 and u1 must not depend on t.  ``dimension`` names the grid the
-    problem lives on (the plate subclass sets 2).
+    u0 and u1 must not depend on t and must vanish on the boundary (to
+    1e-12 of their largest magnitude on the grid), or the startup raises
+    ValueError.  ``dimension`` names the grid the problem lives on (the
+    plate subclass sets 2).
     """
 
     dimension: ClassVar[int] = 1
@@ -320,22 +323,46 @@ class _SineScheme:
 
         return sampled, norms
 
+    def initial(self, problem, key: str) -> np.ndarray:
+        """Coefficients of the initial datum ``key`` (u0 or u1) on every grid.
+
+        Raises ValueError when an expression u0 or u1 uses t, or when the
+        datum (an expression or a callable) does not vanish on the boundary,
+        which the hinged problem cannot hold: a boundary node reads more than
+        1e-12 times its largest magnitude on the grid.
+        """
+        u = getattr(problem, key)
+        if expr_mod.uses_variable(u, "t"):
+            raise ValueError(f"{key} uses t, but initial data may not depend on t")
+        parts = []
+        for grid in self.grids:
+            values = mesh.evaluate(grid, u, 0.0)
+            edge = np.abs(values)
+            edge[grid.interior] = 0.0
+            k = np.unravel_index(np.argmax(edge), grid.shape)
+            if edge[k] > 1e-12 * np.abs(values).max():
+                at = ", ".join(f"{c}={a[i]}" for c, a, i in zip("xy", grid.axes, k))
+                raise ValueError(
+                    f"{key} = {values[k]:.6g} at the boundary node {at}, but initial "
+                    f"data must vanish on the boundary"
+                )
+            parts.append(values[grid.interior])
+        return self.sine(parts)
+
     def start(self, problem, z0, q0):
         """Startup at n = 1: the window (U^0, U^1, V^0, V^1) and
         delta^0 = tau u1 + (tau^2/2) u2 with u2 = -q_0 u1 - A^{-1} D V^0 + f^0
         (each sampled at t = 0; z_0 and q_0 per grid written, unchecked, into
-        z0 and q0).  Raises ValueError when an expression u0 or u1 uses t."""
-        for key in ("u0", "u1"):
-            if expr_mod.uses_variable(getattr(problem, key), "t"):
-                raise ValueError(f"{key} uses t, but initial data may not depend on t")
+        z0 and q0).  Raises ValueError on initial data :meth:`initial`
+        rejects."""
         tau = self.tau
         f_hat = self.sample(problem.f, 0.0)
-        U0 = self.sample(problem.u0, 0.0)
+        U0 = self.initial(problem, "u0")
         V0 = self.AinvD * U0
         self.integral(V0, z0)
         problem.law.evaluate(z0, q0)
         bilap = self.AinvD * V0
-        u1 = self.sample(problem.u1, 0.0)
+        u1 = self.initial(problem, "u1")
         u2 = -q0[self.owner] * u1 - bilap + f_hat
         d = tau * u1 + 0.5 * tau * tau * u2
         U1 = U0 + d
@@ -523,16 +550,22 @@ def run(
     return state, [EnergyRecord(n, E, bound) for n, (E, bound) in enumerate(levels)]
 
 
-def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> StabilityReport:
-    """Check E^n <= E^0 + 2 tau sum_{j<=n} ||f^j|| + tol*(1 + E^0) at every n;
+def bound_violations(
+    E: np.ndarray, bound: np.ndarray, tol: float
+) -> list[tuple[int, float]]:
+    """(n, excess) at each level n where E^n > bound^n + tol*(1 + E^0), from
+    the arrays of E^n and of the bound (a grid's columns of :func:`run_batch`);
     a NaN energy counts as a violation."""
-    E0 = records[0].E
-    slack = tol * (1.0 + E0)
-    violations = [
-        (r.n, r.E - r.bound - slack)
-        for r in records
-        if not r.E <= r.bound + slack
-    ]
+    slack = tol * (1.0 + E[0])
+    (n,) = np.nonzero(~(E <= bound + slack))
+    return list(zip(n.tolist(), (E[n] - bound[n] - slack).tolist()))
+
+
+def stability_check(records: list[EnergyRecord], tol: float = 1e-10) -> StabilityReport:
+    """Check E^n <= E^0 + 2 tau sum_{j<=n} ||f^j|| + tol*(1 + E^0) at every n
+    (:func:`bound_violations` on the records' energies and bounds)."""
+    E, bound = np.array([(r.E, r.bound) for r in records]).T
+    violations = [(records[k].n, x) for k, x in bound_violations(E, bound, tol)]
     return StabilityReport(not violations, tol, violations)
 
 

@@ -638,6 +638,64 @@ def test_energy_balance_defect_exits_with_one_error_line(
         assert err[0].startswith("error: energy balance violated at n=5 (defect ")
 
 
+def test_simulate_and_energy_study_build_no_energy_records(tmp_path, monkeypatch):
+    # both commands read run_batch's energy and bound columns
+    def record(*args, **kwargs):
+        raise AssertionError("an EnergyRecord was built")
+
+    monkeypatch.setattr(stepper1d, "EnergyRecord", record)
+    path = write_cfg(tmp_path, TINY_1D)
+    for command in ("simulate", "energy-study"):
+        cfg = load_config(path, command=command)
+        assert execute(cfg, out_dir=tmp_path / command) == 0
+
+
+def test_stability_bound_breach_exits_with_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    # ||f^5|| drops by 1e3 and ||f^6|| gains as much, so the bound of level 5
+    # alone falls below its energy
+    forcing = stepper1d._SineScheme.forcing
+
+    def corrupted(self, f, times):
+        force, norms = forcing(self, f, times)
+        norms[5] -= 1e3
+        norms[6] += 1e3
+        return force, norms
+
+    monkeypatch.setattr(stepper1d._SineScheme, "forcing", corrupted)
+    path = write_cfg(tmp_path, TINY_1D)
+    for command in ("simulate", "energy-study"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: stability bound violated at n=5 (excess ")
+
+
+@pytest.mark.parametrize(
+    "text,node",
+    [
+        (TINY_1D.replace('u0 = "sin(pi*x)"', 'u0 = "x"'),
+         "u0 = 1 at the boundary node x=1.0"),
+        (TINY_2D.replace('u1 = "0"', 'u1 = "x*y"'),
+         "u1 = 1 at the boundary node x=1.0, y=1.0"),
+    ],
+    ids=["1d-u0", "2d-u1"],
+)
+def test_initial_data_off_the_boundary_exit_with_one_error_line(
+    tmp_path, capsys, text, node
+):
+    # the hinged problem cannot hold them; sampling used to zero them there
+    path = write_cfg(tmp_path, text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ValueError: {node}, but initial data must vanish on the boundary"
+    ]
+
+
 # The config front end against arbitrary text built from cli._KEYS: valid
 # configs of either dimension with values replaced (valid and invalid ones),
 # lines dropped, repeated or added (unknown keys and sections, malformed

@@ -521,9 +521,9 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
 
 
 def test_staged_forcing_samples_only_at_startup(monkeypatch):
-    calls = []
-    sample = mesh.sample
-    monkeypatch.setattr(mesh, "sample", lambda *a: calls.append(a) or sample(*a))
+    calls = []  # every nodal evaluation, sampled or initial data
+    evaluate = mesh.evaluate
+    monkeypatch.setattr(mesh, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
     counts = []
     for N in (4, 16):
         calls.clear()
@@ -803,6 +803,37 @@ def test_initial_data_that_depend_on_t_are_rejected(key):
     for start in (run, init):
         with pytest.raises(ValueError, match=f"^{key} uses t"):
             start(problem, Grid1D(4), TimeGrid(8, 1.0))
+
+
+@pytest.mark.parametrize(
+    "key,u,grid,node",
+    [
+        ("u0", expr.parse("x"), Grid1D(4), "u0 = 1 at the boundary node x=1.0"),
+        ("u0", lambda x, t: x, Grid1D(4), "u0 = 1 at the boundary node x=1.0"),
+        ("u1", expr.parse("x*y"), Grid2D(4, 4),
+         "u1 = 1 at the boundary node x=1.0, y=1.0"),
+    ],
+    ids=["1d-u0", "1d-u0-callable", "2d-u1"],
+)
+def test_initial_data_that_do_not_vanish_on_the_boundary_are_rejected(
+    key, u, grid, node
+):
+    # sampling zeroes the boundary nodes, so u0 = x used to run as a
+    # different u0 without a word
+    cls = Problem1D if isinstance(grid, Grid1D) else Problem2D
+    zero = expr.parse("0")
+    problem = cls(u0=zero, u1=zero, f=zero, law=damping.sqrt_law(), T=1.0)
+    problem = dataclasses.replace(problem, **{key: u})
+    message = f"^{re.escape(node)}, but initial data must vanish on the boundary$"
+    for start in (run, init):
+        with pytest.raises(ValueError, match=message):
+            start(problem, grid, TimeGrid(8, 1.0))
+
+
+def test_initial_data_vanishing_to_round_off_on_the_boundary_are_accepted():
+    # sin(64 pi x) reads 7.8e-15 of its maximum at x = 1
+    problem = dataclasses.replace(forced_problem(), u1=expr.parse("sin(64*pi*x)"))
+    assert init(problem, Grid1D(64), TimeGrid(8, 1.0)).n == 1
 
 
 @pytest.mark.skipif(

@@ -69,6 +69,8 @@ MUTANTS = [
            "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
     Mutant("stability bound with 4 tau", "stepper1d.py",
            "bounds *= 2.0 * tau", "bounds *= 4.0 * tau"),
+    Mutant("bound predicate lets a NaN energy pass", "stepper1d.py",
+           "np.nonzero(~(E <= bound + slack))", "np.nonzero(E > bound + slack)"),
     Mutant("startup drops tau u1", "stepper1d.py",
            "d = tau * u1 +", "d = 0.0 * u1 +"),
     Mutant("sign of q_0 u1 in u2", "stepper1d.py",
