@@ -8,8 +8,7 @@ Commands: simulate, temporal-study, spatial-study, energy-study,
 validate-law.  Configs are flat ``key = value`` files with ``[section]``
 headers ([problem], [grid], [time], [study], [output]), ``#`` comments,
 and double-quoted expressions; see the bundled configs for the layout.
-The fast profile substitutes the *_fast keys (when present) for their
-full-size counterparts.
+The fast profile substitutes N_fast (when present) for N.
 
 Artifacts land in the output directory: ``report.csv`` always,
 ``report.md`` for studies, ``energy.svg`` for energy studies,
@@ -63,8 +62,7 @@ _KEYS = {
     "grid": {"J": int, "J2": int},
     "time": {"N": int, "N_fast": int, "T": float},
     "study": {
-        "N_list": _int_list, "N_list_fast": _int_list,
-        "J_list": _int_list, "J_list_fast": _int_list,
+        "N_list": _int_list, "J_list": _int_list,
         "z_max": float, "samples": int,
     },
     "output": {"dir": str},
@@ -103,9 +101,7 @@ class RunConfig:
     N_fast: int | None = None
     T: float | None = None
     N_list: list[int] | None = None
-    N_list_fast: list[int] | None = None
     J_list: list[int] | None = None
-    J_list_fast: list[int] | None = None
     z_max: float | None = None
     samples: int | None = None
     dir: str = "."
@@ -210,14 +206,13 @@ def _validate(cfg: RunConfig, command: str | None):
         if v is not None and not 0 < v < np.inf:
             raise ConfigError(f"{name}: {key} must be positive and finite, got {v}")
     if command in _STUDY_LISTS:
-        kind, study_list = _STUDY_LISTS[command]
-        for key in (study_list, f"{study_list}_fast"):
-            v = getattr(cfg, key)
-            if v is not None:
-                try:
-                    harness.check_refinements(kind, v, key)
-                except ValueError as exc:
-                    raise ConfigError(f"{name}: {exc}") from None
+        kind, key = _STUDY_LISTS[command]
+        v = getattr(cfg, key)
+        if v is not None:
+            try:
+                harness.check_refinements(kind, v, key)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
     if cfg.dimension == 1:
         for key, parse in _KEYS["problem"].items():
             tree = getattr(cfg, key) if parse is expr_mod.parse else None
@@ -334,15 +329,6 @@ def _make_dir(out: Path) -> bool:
     return True
 
 
-def _resolve_profile(cfg: RunConfig, profile: str):
-    if profile == "fast":
-        N = cfg.N_fast if cfg.N_fast is not None else cfg.N
-        n_list = cfg.N_list_fast if cfg.N_list_fast is not None else cfg.N_list
-        j_list = cfg.J_list_fast if cfg.J_list_fast is not None else cfg.J_list
-        return N, n_list, j_list
-    return cfg.N, cfg.N_list, cfg.J_list
-
-
 def _build_problem(cfg: RunConfig):
     law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
     cls = Problem1D if cfg.dimension == 1 else Problem2D
@@ -384,13 +370,15 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
 
         if not _make_dir(out):
             return 1
-        N, n_list, j_list = _resolve_profile(cfg, profile)
+        N = cfg.N
+        if profile == "fast" and cfg.N_fast is not None:
+            N = cfg.N_fast
         problem = _build_problem(cfg)
         if command in _STUDY_LISTS:
             if command == "temporal-study":
-                report = harness.temporal_study(problem, cfg.J, n_list, J2=cfg.J2)
+                report = harness.temporal_study(problem, cfg.J, cfg.N_list, J2=cfg.J2)
             else:
-                report = harness.spatial_study(problem, N, j_list)
+                report = harness.spatial_study(problem, N, cfg.J_list)
             _write_study(out, comment, report, profile)
             return 0
 

@@ -1,8 +1,9 @@
 """Uniform grids on the unit interval/square and discrete inner products/norms.
 
 Grid functions are plain float64 arrays over the full closed grid
-(including boundary nodes, which are kept at exact zero) so stencil code
-can read neighbors without index guards.  A 1D grid with parameter J has
+(including boundary nodes) so stencil code can read neighbors without index
+guards; :func:`sample` and :func:`initial` set the boundary values to exact
+zero, :func:`evaluate` returns them.  A 1D grid with parameter J has
 2J+1 nodes x_j = j*h, h = 1/(2J); the even node count is what makes the
 Simpson-type weighted norms below well defined.  A 2D grid is the tensor
 product of two such axes.  Each grid carries its node ``axes``, its
@@ -43,6 +44,7 @@ __all__ = [
     "grid_of",
     "evaluate",
     "sample",
+    "initial",
     "inner",
     "norm",
 ]
@@ -157,6 +159,31 @@ def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
     exact zero."""
     out = np.zeros(grid.shape)
     out[grid.interior] = evaluate(grid, f, t)[grid.interior]
+    return out
+
+
+def initial(grid: Grid, u, key: str) -> np.ndarray:
+    """:func:`sample` the initial datum ``key`` (u0 or u1) at t = 0.
+
+    Raises ValueError when an expression u uses t, or when u (an expression
+    or a callable) does not vanish on the boundary, which the hinged problem
+    cannot hold: a boundary node reads more than 1e-12 times its largest
+    magnitude on the grid.  The error names the key, the node and the value.
+    """
+    if expr_mod.uses_variable(u, "t"):
+        raise ValueError(f"{key} uses t, but initial data may not depend on t")
+    values = evaluate(grid, u, 0.0)
+    edge = np.abs(values)
+    edge[grid.interior] = 0.0
+    k = np.unravel_index(np.argmax(edge), grid.shape)
+    if edge[k] > 1e-12 * np.abs(values).max():
+        at = ", ".join(f"{c}={a[i]}" for c, a, i in zip("xy", grid.axes, k))
+        raise ValueError(
+            f"{key} = {values[k]:.6g} at the boundary node {at}, but initial "
+            f"data must vanish on the boundary"
+        )
+    out = np.zeros(grid.shape)
+    out[grid.interior] = values[grid.interior]
     return out
 
 

@@ -78,6 +78,7 @@ reference solution (nodal stencils and solves of A only).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import ClassVar
 
@@ -324,30 +325,10 @@ class _SineScheme:
         return sampled, norms
 
     def initial(self, problem, key: str) -> np.ndarray:
-        """Coefficients of the initial datum ``key`` (u0 or u1) on every grid.
-
-        Raises ValueError when an expression u0 or u1 uses t, or when the
-        datum (an expression or a callable) does not vanish on the boundary,
-        which the hinged problem cannot hold: a boundary node reads more than
-        1e-12 times its largest magnitude on the grid.
-        """
+        """Coefficients of the initial datum ``key`` (u0 or u1) on every grid;
+        raises ValueError on a datum :func:`damped_eb.mesh.initial` rejects."""
         u = getattr(problem, key)
-        if expr_mod.uses_variable(u, "t"):
-            raise ValueError(f"{key} uses t, but initial data may not depend on t")
-        parts = []
-        for grid in self.grids:
-            values = mesh.evaluate(grid, u, 0.0)
-            edge = np.abs(values)
-            edge[grid.interior] = 0.0
-            k = np.unravel_index(np.argmax(edge), grid.shape)
-            if edge[k] > 1e-12 * np.abs(values).max():
-                at = ", ".join(f"{c}={a[i]}" for c, a, i in zip("xy", grid.axes, k))
-                raise ValueError(
-                    f"{key} = {values[k]:.6g} at the boundary node {at}, but initial "
-                    f"data must vanish on the boundary"
-                )
-            parts.append(values[grid.interior])
-        return self.sine(parts)
+        return self.sine([mesh.initial(g, u, key)[g.interior] for g in self.grids])
 
     def start(self, problem, z0, q0):
         """Startup at n = 1: the window (U^0, U^1, V^0, V^1) and
@@ -404,13 +385,18 @@ class _SineScheme:
         return As2 + np.diff(E2, axis=0, prepend=E2_prev[None])
 
 
-def _scheme_of(state: StepperState, tau: float) -> _SineScheme:
-    return _SineScheme([mesh.grid_of(state.U_curr.shape)], tau)
+@functools.lru_cache(maxsize=8)
+def _nodal_scheme(shape: tuple[int, ...], tau: float) -> _SineScheme:
+    """The scheme of the lone grid with node shape ``shape``, shared by the
+    nodal :func:`init`, :func:`step` and :func:`energy`, so a loop of nodal
+    steps builds it once (with its scratch: one thread at a time may call
+    them)."""
+    return _SineScheme([mesh.grid_of(shape)], tau)
 
 
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
-    scheme = _SineScheme([grid], tg.tau)
+    scheme = _nodal_scheme(grid.shape, tg.tau)
     z, q = np.empty((2, 1, 1))  # level 0 of one grid
     with np.errstate(all="ignore"):  # a failing q_0 is raised by the guard
         window, _ = scheme.start(problem, z[0], q[0])
@@ -423,8 +409,9 @@ def step(
     state: StepperState, f_n: np.ndarray, tau: float, law: DampingLaw
 ) -> StepperState:
     """Advance any window one level: solve for U^{n+1}, then recover V^{n+1},
-    carrying the window's offset W (module docstring)."""
-    scheme = _scheme_of(state, tau)
+    carrying the window's offset W (module docstring).  The new state holds
+    the given U^n and V^n as its U_prev and V_prev."""
+    scheme = _nodal_scheme(state.U_curr.shape, tau)
     f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
@@ -437,13 +424,13 @@ def step(
     damping_mod.check_levels(law, z, q, state.n, tau, scheme.grids)
     scheme.advance(U_next, U - U_prev, q[0], F, (d_next, V_next))
     V_next += W
-    (new,) = scheme.states(state.n + 1, (U, U_next, V, V_next), q[0])
-    return new
+    ((U_new, V_new),) = scheme.nodal(np.stack((U_next, V_next)))
+    return StepperState(state.n + 1, state.U_curr, U_new, state.V_curr, V_new, q.item())
 
 
 def energy(state: StepperState, tau: float) -> EnergyRecord:
     """Energy of the window held by ``state`` (record index state.n - 1)."""
-    scheme = _scheme_of(state, tau)
+    scheme = _nodal_scheme(state.U_curr.shape, tau)
     U_prev, U, V_prev, V = scheme.coefficients(state)
     (E2,) = scheme.squared_energy((U - U_prev)[None], np.stack((V_prev, V)))[0]
     return EnergyRecord(state.n - 1, math.sqrt(E2))
@@ -534,10 +521,9 @@ def run(
     problem,
     grid: Grid,
     tg: TimeGrid,
-    on_block=None,
 ) -> tuple[StepperState, list[EnergyRecord]]:
     """Initialize and take N steps (ending at U^{N+1}, time T): the batch of
-    one grid of :func:`run_batch`, whose ``on_block`` hook it takes.
+    one grid of :func:`run_batch`.
 
     The grid sets the dimension: a ``Grid1D`` runs a beam, a ``Grid2D`` a
     plate.  Returns the final state and one energy record per level, each
@@ -545,7 +531,7 @@ def run(
     steps run on sine coefficients; the nodal state is built only for the
     result.
     """
-    (state,), energies, bounds = run_batch(problem, [grid], tg, on_block)
+    (state,), energies, bounds = run_batch(problem, [grid], tg)
     levels = zip(energies[:, 0].tolist(), bounds[:, 0].tolist())
     return state, [EnergyRecord(n, E, bound) for n, (E, bound) in enumerate(levels)]
 
@@ -576,11 +562,12 @@ def mol_reference(
 
     The system integrated is U' = W, A W' = A f - q(t) A W - D V,
     A V' = D W with q(t) = P(||V||_b^2).  The caller picks dt; stability
-    of RK4 on this stiff system needs roughly dt <= h^2/4.
+    of RK4 on this stiff system needs roughly dt <= h^2/4.  Raises
+    ValueError on initial data :func:`damped_eb.mesh.initial` rejects.
     """
     h = grid.h
-    U = mesh.sample(grid, problem.u0, 0.0)
-    W = mesh.sample(grid, problem.u1, 0.0)
+    U = mesh.initial(grid, problem.u0, "u0")
+    W = mesh.initial(grid, problem.u1, "u1")
     V = operators.solve_A(operators.apply_D(U, h))
     nsteps = max(1, round(t_end / dt))
     dt = t_end / nsteps

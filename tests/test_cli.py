@@ -384,6 +384,25 @@ def test_cg_tol_is_an_unknown_key(tmp_path, capsys):
     assert len(err) == 1 and "unknown key 'cg_tol' in [grid]" in err[0]
 
 
+@pytest.mark.parametrize(
+    "study,key",
+    [("N_list = 8, 16", "N_list_fast"), ("J_list = 4, 8", "J_list_fast")],
+)
+@pytest.mark.parametrize("profile", ["paper", "fast"])
+def test_fast_study_lists_are_unknown_keys(tmp_path, capsys, study, key, profile):
+    # under --profile fast only N_fast substitutes; a study list has no
+    # fast counterpart
+    path = write_cfg(tmp_path, TINY_1D.replace(study, f"{study}\n{key} = 4, 8"))
+    out = tmp_path / "out"
+    for command in ("temporal-study", "spatial-study", "simulate"):
+        argv = [command, "--config", str(path), "--out", str(out), "--profile", profile]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run.cfg:")
+        assert err[0].endswith(f": unknown key {key!r} in [study]")
+        assert not out.exists()
+
+
 def test_spatial_study_rejects_rectangular_grid(tmp_path, capsys):
     study = "\n[study]\nJ_list = 4, 8\n"
     path = write_cfg(tmp_path, TINY_2D.replace("J = 4", "J = 4\nJ2 = 8") + study)
@@ -450,9 +469,8 @@ def test_one_dimensional_config_rejects_J2(tmp_path, capsys):
     [
         ("J_list", "J_list = 5, 10", []),
         ("J_list", "J_list = 2, 4", []),
-        ("J_list_fast", "J_list = 4, 8\nJ_list_fast = 4, 6, 9", ["--profile", "fast"]),
     ],
-    ids=["odd", "small", "odd-fast"],
+    ids=["odd", "small"],
 )
 def test_spatial_study_rejects_odd_or_small_J(tmp_path, capsys, key, study, args):
     path = write_cfg(tmp_path, TINY_1D.replace("J_list = 4, 8", study))
@@ -493,10 +511,9 @@ def test_law_p0_with_a_named_law_exits_with_one_error_line(tmp_path, capsys):
     [
         ("temporal-study", "N_list = 8, 16", "N_list = 1, 2"),
         ("temporal-study", "N_list = 8, 16", "N_list = 8, 8"),
-        ("temporal-study", "N_list = 8, 16", "N_list = 8, 16\nN_list_fast = 4, 4"),
         ("spatial-study", "J_list = 4, 8", "J_list = 4, 4"),
     ],
-    ids=["N-small", "N-repeated", "N-fast-repeated", "J-repeated"],
+    ids=["N-small", "N-repeated", "J-repeated"],
 )
 def test_study_rejects_refinement_list_before_running(
     tmp_path, capsys, command, old, new
@@ -717,9 +734,7 @@ _VALUES = {
     "N_fast": ["1", "8", "0"],
     "T": ["1", "0.5", "1e300", "0", "-1", "inf", "nan"],
     "N_list": ["8, 16", "2, 4, 64", "16, 8", "1, 2", "", "8, x"],
-    "N_list_fast": ["4, 8", "8, 8"],
     "J_list": ["4, 8", "6", "4, 6, 8", "5, 10", "2, 4", "8, 4"],
-    "J_list_fast": ["4", "3"],
     "z_max": ["10", "1e300", "0", "-1", "1e400"],
     "samples": ["1", "50", "0", "many"],
     "dir": ["out", '"out"'],

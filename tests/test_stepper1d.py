@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from damped_eb import damping, expr, mesh, operators
+from damped_eb import damping, expr, mesh, operators, stepper1d
 from damped_eb.cli import STABILITY_TOL
 from damped_eb.mesh import Grid1D, Grid2D, TimeGrid
 from damped_eb.stepper1d import (
@@ -197,32 +197,33 @@ class Blocks:
     ids=["1d-8", "2d-4x4", "2d-2x3", "2d-8x5"],
 )
 def test_run_observers_and_records_match_nodal_steps(g):
-    # what the on_block hook observes of each level (q_n, z_n, E_n^2 and the
-    # energy-balance defect), the records and the final state, against the
-    # nodal init/step loop, and the balance of that loop from the stencils
+    # what run_batch's on_block hook observes of each level (q_n, z_n, E_n^2
+    # and the energy-balance defect), its energies and the final state,
+    # against the nodal init/step loop, and the balance of that loop from the
+    # stencils
     tg = TimeGrid(24, 1.0)
     dim = len(g.shape)
     prob = forced_problem() if dim == 1 else forced_plate_problem()
     _, energy_fn, apply_A = DIMENSIONS[dim]
     blocks = Blocks()
-    final, records = run(prob, g, tg, on_block=blocks)
+    (final,), energies, _ = run_batch(prob, [g], tg, on_block=blocks)
     q, z, E2, defect = (x[:, 0] for x in blocks.rows())
     states = nodal_states(prob, g, tg)
-    assert blocks.levels == len(records) == len(states) == tg.N + 1
+    assert blocks.levels == len(energies) == len(states) == tg.N + 1
 
     def norm_A(u):
         return mesh.norm(g, apply_A(u))
 
     kind = "b" if dim == 1 else "f"
-    for n, (st, rec) in enumerate(zip(states, records)):
+    for n, (st, E) in enumerate(zip(states, energies[:, 0].tolist())):
         assert q[n] == pytest.approx(st.q_curr, rel=1e-12)
         assert z[n] == pytest.approx(mesh.norm(g, st.V_prev, kind) ** 2, rel=1e-12)
-        assert rec.n == n and rec.E == math.sqrt(E2[n])
-        assert rec.E == pytest.approx(energy_fn(st, tg.tau).E, rel=1e-13)
+        assert E == math.sqrt(E2[n])
+        assert E == pytest.approx(energy_fn(st, tg.tau).E, rel=1e-13)
         stencil_E2 = norm_A((st.U_curr - st.U_prev) / tg.tau) ** 2 + 0.5 * (
             norm_A(st.V_curr) ** 2 + norm_A(st.V_prev) ** 2
         )
-        assert rec.E == pytest.approx(math.sqrt(stencil_E2), rel=1e-12)
+        assert E == pytest.approx(math.sqrt(stencil_E2), rel=1e-12)
         assert abs(defect[n]) <= 1e-13 * (1.0 + E2[n])
         if n:
             s = st.U_curr - states[n - 1].U_prev  # U^{n+1} - U^{n-1}
@@ -325,6 +326,29 @@ def test_nodal_step_holds_on_a_random_window(dim):
     new = DIMENSIONS[dim][0](state, f_n, tau, problem.law)
     r1, r2 = scheme_residuals(state, new, new.q_curr, problem.f, tau)
     assert r1 <= 1e-10 and r2 <= 1e-10
+    # U^n and V^n pass into the new window as they were given, not through
+    # the sine transform and back
+    assert np.array_equal(new.U_prev, state.U_curr)
+    assert np.array_equal(new.V_prev, state.V_curr)
+
+
+@pytest.mark.parametrize("g", [Grid1D(8), Grid2D(4, 3)], ids=["1d", "2d"])
+def test_nodal_loop_builds_its_scheme_once(monkeypatch, g):
+    builds = []
+    build = _SineScheme.__init__
+
+    def counted(self, grids, tau):
+        builds.append((grids, tau))
+        build(self, grids, tau)
+
+    stepper1d._nodal_scheme.cache_clear()
+    monkeypatch.setattr(_SineScheme, "__init__", counted)
+    tg = TimeGrid(6, 1.0)
+    problem = forced_problem() if len(g.shape) == 1 else forced_plate_problem()
+    _, energy_fn, _ = DIMENSIONS[len(g.shape)]
+    for state in nodal_states(problem, g, tg):
+        energy_fn(state, tg.tau)
+    assert builds == [([g], tg.tau)]
 
 
 def block_rows(grids):
@@ -795,12 +819,17 @@ def test_law_raising_after_a_failed_level_still_names_that_level():
     assert str(err.value) == str(ref.value)
 
 
+def start_mol_reference(problem, grid, tg):
+    """The RK4 reference to t = 0.01 (stable with dt = 0.001 for J <= 4)."""
+    return mol_reference(problem, grid, 0.01, 0.001)
+
+
 @pytest.mark.parametrize("key", ["u0", "u1"])
 def test_initial_data_that_depend_on_t_are_rejected(key):
     # the startup samples u0 and u1 at t = 0, so u1 = t*sin(pi*x) used to
     # run as u1 = 0 without a word
     problem = dataclasses.replace(forced_problem(), **{key: expr.parse("t*sin(pi*x)")})
-    for start in (run, init):
+    for start in (run, init, start_mol_reference):
         with pytest.raises(ValueError, match=f"^{key} uses t"):
             start(problem, Grid1D(4), TimeGrid(8, 1.0))
 
@@ -819,13 +848,14 @@ def test_initial_data_that_do_not_vanish_on_the_boundary_are_rejected(
     key, u, grid, node
 ):
     # sampling zeroes the boundary nodes, so u0 = x used to run as a
-    # different u0 without a word
+    # different u0 without a word (and did so in the RK4 reference)
     cls = Problem1D if isinstance(grid, Grid1D) else Problem2D
     zero = expr.parse("0")
     problem = cls(u0=zero, u1=zero, f=zero, law=damping.sqrt_law(), T=1.0)
     problem = dataclasses.replace(problem, **{key: u})
     message = f"^{re.escape(node)}, but initial data must vanish on the boundary$"
-    for start in (run, init):
+    starts = (run, init) if cls is Problem2D else (run, init, start_mol_reference)
+    for start in starts:
         with pytest.raises(ValueError, match=message):
             start(problem, grid, TimeGrid(8, 1.0))
 
