@@ -386,15 +386,18 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
         tg = TimeGrid(N, cfg.T)
         grid = mesh.grid_for(cfg.dimension, cfg.J, cfg.J2)
         worst = [0.0, 0]  # largest |defect| / (1 + E_n^2) so far, and its n
+        E2s, bounds = [], []  # E_n^2 and the bound of each block
 
-        def check_balance(n0, q, z, E2, defect):
+        def check_balance(n0, q, z, E2, defect, bound):
             rel = np.nan_to_num(np.abs(defect[:, 0]) / (1.0 + E2[:, 0]), nan=np.inf)
             k = int(np.argmax(rel))
             if rel[k] > worst[0]:
                 worst[:] = rel[k], n0 + k
+            E2s.append(E2[:, 0].copy())
+            bounds.append(bound[:, 0].copy())
 
-        (state,), energies, bounds = run_batch(problem, [grid], tg, check_balance)
-        E, bound = energies[:, 0], bounds[:, 0]
+        (state,) = run_batch(problem, [grid], tg, check_balance)
+        E, bound = np.sqrt(np.concatenate(E2s)), np.concatenate(bounds)
         energy = E.tolist()
         _write_csv(
             out / "report.csv",

@@ -9,7 +9,10 @@ on T.  Spatial rows share one N (hence one tau), so every grid of a spatial
 study (each J and each J//2) steps in one batched time loop
 (:func:`damped_eb.stepper1d.run_batch`); rows are compared at coincident
 nodes (coarse j <-> fine 2j), weighted by the row grid's mesh width.
-The studies return numbers; the CLI writes them as report.csv and report.md.
+A study reads only the final states that ``run_batch`` returns and passes
+it no hook, so its runs take no energies and keep nothing whose size grows
+with N.  The studies return numbers; the CLI writes them as report.csv and
+report.md.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ def temporal_study(
     grid = mesh.grid_for(problem.dimension, J, J2)
     Ns = sorted(set(N_list) | {N // 2 for N in N_list})
     tgs = {N: TimeGrid(N, problem.T) for N in Ns}
-    terminal = {N: run_batch(problem, [grid], tg)[0][0].U_curr for N, tg in tgs.items()}
+    terminal = {N: run_batch(problem, [grid], tg)[0].U_curr for N, tg in tgs.items()}
     errors = [mesh.norm(grid, terminal[N] - terminal[N // 2]) for N in N_list]
     rows = [
         ReportRow(N, tgs[N].tau, tgs[N // 2].tau, err, order)
@@ -110,7 +113,7 @@ def spatial_study(problem, N: int, J_list: list[int]) -> ConvergenceReport:
     check_refinements("spatial", J_list, "J_list")
     Js = sorted(set(J_list) | {J // 2 for J in J_list})
     grids = [mesh.grid_for(problem.dimension, J) for J in Js]
-    states = run_batch(problem, grids, TimeGrid(N, problem.T))[0]
+    states = run_batch(problem, grids, TimeGrid(N, problem.T))
     terminal = {J: state.U_curr for J, state in zip(Js, states)}
     dimension = problem.dimension
     interior = (slice(1, -1),) * dimension

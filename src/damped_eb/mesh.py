@@ -165,12 +165,18 @@ def sample(grid: Grid, f, t: float = 0.0) -> np.ndarray:
 def initial(grid: Grid, u, key: str) -> np.ndarray:
     """:func:`sample` the initial datum ``key`` (u0 or u1) at t = 0.
 
-    Raises ValueError when an expression u uses t, or when u (an expression
-    or a callable) does not vanish on the boundary, which the hinged problem
-    cannot hold: a boundary node reads more than 1e-12 times its largest
-    magnitude on the grid.  The error names the key, the node and the value.
+    Raises ValueError when u depends on t (an expression that uses t, or a
+    callable that reads differently at t = 1 on some node), or when u does
+    not vanish on the boundary, which the hinged problem cannot hold: a
+    boundary node reads more than 1e-12 times its largest magnitude on the
+    grid.  The error names the key, the node and the value.
     """
-    if expr_mod.uses_variable(u, "t"):
+    if hasattr(u, "_eval"):  # expression tree
+        uses_t = expr_mod.uses_variable(u, "t")
+    else:  # a callable, sampled at t = 0 and t = 1
+        at_0, at_1 = (evaluate(grid, u, t) for t in (0.0, 1.0))
+        uses_t = not np.array_equal(at_0, at_1, equal_nan=True)
+    if uses_t:
         raise ValueError(f"{key} uses t, but initial data may not depend on t")
     values = evaluate(grid, u, 0.0)
     edge = np.abs(values)

@@ -49,14 +49,13 @@ of the law on the array of z; c_n lam^2 by one product of q_n with
 per-grid weight rows; and one elementwise update of the whole batch into
 a row of a history block of delta, V, z and q, every array it writes
 allocated once per run.  A forcing f = g(t) F(x[, y]) is staged: F is
-transformed once per grid, g evaluated once on all t_n, and one outer
-product writes lam^2 f^n into a block's rows of f.  A full block passes
-one damping guard (a failure is raised at the end of the block that holds
-it but names the failing level), and its energies (and, for a caller's
-hook, energy-balance defects) are taken in one pass (its size is a fixed
-number of coefficients, so it stays in cache), their square roots after
-the loop.  Of size N, a run keeps only its energies and bounds, the times
-t_n and g(t_n).
+transformed once per grid, g evaluated once on the t_n of a block, and one
+outer product writes lam^2 f^n into the block's rows of f.  A full block
+passes one damping guard (a failure is raised at the end of the block that
+holds it but names the failing level).  For a caller's hook, its energies,
+energy-balance defects and stability bounds are then taken in one pass
+(its size is a fixed number of coefficients, so it stays in cache) and
+handed over; a run keeps nothing whose size grows with N.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
@@ -285,44 +284,48 @@ class _SineScheme:
         w *= V
         np.dot(self.z_weights, w, out=z)
 
-    def forcing(self, f, times: np.ndarray):
-        """The map (n, rows) that writes the coefficients of
-        lam^2 f(., times[n + k]) into rows[k] for each k, and the array of
-        ||f(., times[n])|| per grid, whose row n the map writes with f^n
+    def forcing(self, f):
+        """The map (n, rows, norms=None) that writes the coefficients of
+        lam^2 f^{n+k}, f^j = f(., j tau), into rows[k] for each k, and
+        ||f^{n+k}|| per grid into norms[k] when norms is given
         (:meth:`start` samples f^0 itself).
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
-        staged: F is sampled and transformed once, g evaluated on all times,
-        and a call is one outer product.  Any other f, or a g or F that
-        leaves its domain, is sampled at each time (naming the node where it
-        fails).
+        staged: F is sampled and transformed once, g evaluated on the times
+        of a call, and the call is one outer product.  Any other f, an F
+        that leaves its domain, or a call whose times take g out of its
+        domain, is sampled at each time (naming the node where it fails).
         """
-        norms = np.empty((len(times), len(self.grids)))
         split = expr_mod.split_time(f) if hasattr(f, "_eval") else None
         if split is not None:
             g, F = split
             try:
                 F_hat = self.sample(F, 0.0)
-                g_n = expr_mod.evaluate(g, t=times) if g else np.ones_like(times)
             except expr_mod.DomainError:
                 split = None
-        if split is not None:
-            np.multiply(g_n[:, None], self.norms(F_hat), out=norms)
-            np.abs(norms, out=norms)
-            lam2_F = self.lam2 * F_hat
+            else:
+                lam2_F, F_norms = self.lam2 * F_hat, self.norms(F_hat)
 
-            def staged(n, rows):
-                np.multiply(g_n[n : n + len(rows), None], lam2_F, out=rows)
-
-            return staged, norms
-
-        def sampled(n, rows):
-            for k, row in enumerate(rows, n):
+        def force(n, rows, norms=None):
+            times = np.arange(n, n + len(rows)) * self.tau
+            if split is not None:
+                try:
+                    g_n = expr_mod.evaluate(g, t=times) if g else np.ones_like(times)
+                except expr_mod.DomainError:
+                    pass  # sample this call's levels, naming the failing node
+                else:
+                    np.multiply(g_n[:, None], lam2_F, out=rows)
+                    if norms is not None:
+                        np.multiply(g_n[:, None], F_norms, out=norms)
+                        np.abs(norms, out=norms)
+                    return
+            for k, row in enumerate(rows):
                 f_hat = self.sample(f, times.item(k))
-                norms[k] = self.norms(f_hat)
+                if norms is not None:
+                    norms[k] = self.norms(f_hat)
                 np.multiply(self.lam2, f_hat, out=row)
 
-        return sampled, norms
+        return force
 
     def initial(self, problem, key: str) -> np.ndarray:
         """Coefficients of the initial datum ``key`` (u0 or u1) on every grid;
@@ -441,23 +444,24 @@ def run_batch(
     grids: list[Grid],
     tg: TimeGrid,
     on_block=None,
-) -> tuple[list[StepperState], np.ndarray, np.ndarray]:
+) -> list[StepperState]:
     """Run ``problem`` on several grids of its dimension at once, N steps
-    each with the same time grid (ending at U^{N+1}, time T).
+    each with the same time grid (ending at U^{N+1}, time T), and return the
+    final state of each grid, in the order of ``grids``.
 
     All runs advance together in one time loop, on one vector of sine
     coefficients; when f is a product g(t) * F(x[, y]), F is transformed
-    once per grid and g evaluated once per run.  Returns the final state of
-    each grid, in the order of ``grids``, and two arrays of shape
-    (N+1, len(grids)): the energy E^n of each grid and its running
-    stability bound E^0 + 2 tau sum_{j<=n} ||f^j||.  Besides the times t_n
-    (and g(t_n)), these are the only arrays of a run that grow with N.  A
+    once per grid and g evaluated once per block of levels.  A run keeps
+    nothing whose size grows with N.  A
     :class:`damped_eb.damping.DampingError` names the failing level and grid.
 
-    ``on_block``, if given, is called as each block of levels n0..n0+m-1
-    passes the guard (the blocks cover 0..N in order) with n0 and views,
-    valid during the call, of shape (m, len(grids)): q_n, z_n = ||V^n||^2,
-    E_n^2 and the defect of the energy balance (module docstring; 0 at n = 0).
+    ``on_block``, if given, receives the run's per-level outputs: it is
+    called as each block of levels n0..n0+m-1 passes the guard (the blocks
+    cover 0..N in order) with n0 and views, valid during the call, of shape
+    (m, len(grids)): q_n, z_n = ||V^n||^2, E_n^2, the defect of the energy
+    balance (module docstring; 0 at n = 0) and the stability bound
+    E^0 + 2 tau sum_{1<=j<=n} ||f^j||.  Without it a run takes no energies
+    and no norms of f.
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
@@ -465,38 +469,51 @@ def run_batch(
     # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1}
     # and V^n in, the step that writes D[i] reads F[i] (staged at the block's
     # start) and writes its z_n and q_n into Z[i] and Q[i]; a full block is
-    # checked by one guard, then its energies (and defects) take one pass.
+    # checked by one guard.  For the hook, B[i] holds ||f^n||, then the bound,
+    # and E2[i] E_n^2, row 0 carrying the E^2 of the level before the block.
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
     D, V, F = np.zeros((3, rows + 1, scheme.size))
-    Z, Q = np.empty((2, rows + 1, len(grids)))
+    Z, Q, E2, B = np.zeros((4, rows + 1, len(grids)))
     D_row, V_row, F_row, Z_row, Q_row = map(list, (D, V, F, Z, Q))  # views, once
-    energies = np.empty((N + 1, len(grids)))
+    E0, total = np.zeros((2, len(grids)))  # E^0, and sum ||f^j|| before the block
+
+    def prepare(n, first):  # rows first.. of F (and B) with the levels from n on
+        end = min(rows, N + first - n) + 1
+        force(n, F[first:end], None if on_block is None else B[first:end])
 
     def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
         damping_mod.check_levels(law, Z[1 : m + 1], Q[1 : m + 1], n0, tau, grids)
-        E2 = energies[n0 : n0 + m]
-        E2[...] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
-        if on_block is not None:
-            parts = D[: m + 1], F[1 : m + 1], Q[1 : m + 1]
-            defect = scheme.balance(energies[max(n0 - 1, 0)], E2, *parts)
-            on_block(n0, Q[1 : m + 1], Z[1 : m + 1], E2, defect)
+        if on_block is None:
+            return
+        E2[1 : m + 1] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
+        if n0 == 0:  # level 0: no step before it
+            E2[0] = E2[1]
+            np.sqrt(E2[1], out=E0)
+        parts = D[: m + 1], F[1 : m + 1], Q[1 : m + 1]
+        defect = scheme.balance(E2[0], E2[1 : m + 1], *parts)
+        bound = B[1 : m + 1]  # ||f^n||, 0 at n = 0
+        bound[0] += total
+        np.cumsum(bound, axis=0, out=bound)
+        total[...] = bound[-1]
+        bound *= 2.0 * tau
+        bound += E0
+        E2[0] = E2[m]
+        on_block(n0, Q[1 : m + 1], Z[1 : m + 1], E2[1 : m + 1], defect, bound)
 
     # a failing level (or an overflow) is raised by the guard as its block
     # closes; silence the warnings of the levels after it, thrown away then
     with np.errstate(all="ignore"):
-        times = np.arange(N + 1, dtype=float)
-        times *= tau
-        force, bounds = scheme.forcing(problem.f, times)
+        force = scheme.forcing(problem.f)
         (_, U, V[0], V[1]), D[1] = scheme.start(problem, Z[1], Q[1])
         D[0] = -D[1]  # level 0: s = f = 0, no defect
         n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1
         try:
-            force(1, F[2 : min(rows, N + 1) + 1])
+            prepare(1, 2)
             for n in range(1, N + 1):
                 if i == rows:
                     close(n0, i)
                     D[0], V[0] = D[i], V[i]
-                    force(n, F[1 : min(rows, N + 1 - n) + 1])
+                    prepare(n, 1)
                     n0, i = n, 0
                 z, q, out = Z_row[i + 1], Q_row[i + 1], (D_row[i + 1], V_row[i + 1])
                 scheme.integral(V_row[i], z)
@@ -509,12 +526,7 @@ def run_batch(
             damping_mod.check_levels(law, Z[1 : i + 1], Q[1 : i + 1], n0, tau, grids)
             raise
         close(n0, i)
-        np.sqrt(energies, out=energies)
-        bounds[0] = 0.0  # the bound sums ||f^j|| over j >= 1
-        np.cumsum(bounds, axis=0, out=bounds)
-        bounds *= 2.0 * tau
-        bounds += energies[0]
-    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), Q[i]), energies, bounds
+    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), Q[i])
 
 
 def run(
@@ -527,21 +539,27 @@ def run(
 
     The grid sets the dimension: a ``Grid1D`` runs a beam, a ``Grid2D`` a
     plate.  Returns the final state and one energy record per level, each
-    carrying the running stability bound E^0 + 2 tau sum ||f^j||.  The
-    steps run on sine coefficients; the nodal state is built only for the
-    result.
+    carrying the running stability bound E^0 + 2 tau sum ||f^j||, collected
+    through the hook.  The steps run on sine coefficients; the nodal state
+    is built only for the result.
     """
-    (state,), energies, bounds = run_batch(problem, [grid], tg)
-    levels = zip(energies[:, 0].tolist(), bounds[:, 0].tolist())
-    return state, [EnergyRecord(n, E, bound) for n, (E, bound) in enumerate(levels)]
+    blocks = []
+
+    def keep(n0, q, z, E2, defect, bound):
+        blocks.append(np.hstack((E2, bound)))
+
+    (state,) = run_batch(problem, [grid], tg, keep)
+    E2, bound = np.concatenate(blocks).T
+    levels = zip(np.sqrt(E2).tolist(), bound.tolist())
+    return state, [EnergyRecord(n, E, b) for n, (E, b) in enumerate(levels)]
 
 
 def bound_violations(
     E: np.ndarray, bound: np.ndarray, tol: float
 ) -> list[tuple[int, float]]:
     """(n, excess) at each level n where E^n > bound^n + tol*(1 + E^0), from
-    the arrays of E^n and of the bound (a grid's columns of :func:`run_batch`);
-    a NaN energy counts as a violation."""
+    the arrays of E^n and of the bound (a grid's columns, over all blocks, of
+    :func:`run_batch`'s hook); a NaN energy counts as a violation."""
     slack = tol * (1.0 + E[0])
     (n,) = np.nonzero(~(E <= bound + slack))
     return list(zip(n.tolist(), (E[n] - bound[n] - slack).tolist()))

@@ -656,7 +656,7 @@ def test_energy_balance_defect_exits_with_one_error_line(
 
 
 def test_simulate_and_energy_study_build_no_energy_records(tmp_path, monkeypatch):
-    # both commands read run_batch's energy and bound columns
+    # both commands collect energies and bounds through run_batch's hook
     def record(*args, **kwargs):
         raise AssertionError("an EnergyRecord was built")
 
@@ -674,11 +674,16 @@ def test_stability_bound_breach_exits_with_one_error_line(
     # alone falls below its energy
     forcing = stepper1d._SineScheme.forcing
 
-    def corrupted(self, f, times):
-        force, norms = forcing(self, f, times)
-        norms[5] -= 1e3
-        norms[6] += 1e3
-        return force, norms
+    def corrupted(self, f):
+        force = forcing(self, f)
+
+        def shifted(n, rows, norms=None):
+            force(n, rows, norms)
+            for k, change in ((5, -1e3), (6, 1e3)):
+                if norms is not None and n <= k < n + len(rows):
+                    norms[k - n] += change
+
+        return shifted
 
     monkeypatch.setattr(stepper1d._SineScheme, "forcing", corrupted)
     path = write_cfg(tmp_path, TINY_1D)

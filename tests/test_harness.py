@@ -59,6 +59,22 @@ def test_temporal_study_keeps_only_the_terminal_state_of_each_run():
     assert sorted(calls) == [(1, 2), (1, 4), (1, 8), (1, 16)]
 
 
+def test_studies_take_no_energies():
+    # a study reads only the terminal states, so its runs take no energy
+    # pass and no energy-balance defect
+    fail = mock.Mock(side_effect=AssertionError("a study took energies"))
+    with mock.patch.object(
+        stepper1d._SineScheme, "squared_energy", fail
+    ), mock.patch.object(stepper1d._SineScheme, "balance", fail):
+        reports = [
+            harness.spatial_study(problem_1d(), 256, [4, 8]),
+            harness.temporal_study(problem_1d(), 4, [8, 16]),
+        ]
+    for rep in reports:
+        assert len(rep.rows) == 2 and all(row.error > 0 for row in rep.rows)
+    assert not fail.called
+
+
 def test_temporal_study_records_both_steps():
     rep = harness.temporal_study(problem_1d(), 8, [16, 32])
     row = rep.rows[0]
@@ -189,7 +205,7 @@ def test_spatial_study_terminals_equal_separate_runs(dim, J_list, law, f, N):
 
     def spy(*args):
         out = stepper1d.run_batch(*args)
-        calls.append((args[1], out[0]))
+        calls.append((args[1], out))
         return out
 
     with mock.patch.object(harness, "run_batch", spy):

@@ -187,7 +187,7 @@ class Blocks:
         self.parts.append([a.copy() for a in arrays])
 
     def rows(self):
-        """q, z, E2 and defect, each with one row per level."""
+        """q, z, E2, defect and bound, each with one row per level."""
         return [np.concatenate(x) for x in zip(*self.parts)]
 
 
@@ -198,7 +198,7 @@ class Blocks:
 )
 def test_run_observers_and_records_match_nodal_steps(g):
     # what run_batch's on_block hook observes of each level (q_n, z_n, E_n^2
-    # and the energy-balance defect), its energies and the final state,
+    # and the energy-balance defect), run's energies and the final state,
     # against the nodal init/step loop, and the balance of that loop from the
     # stencils
     tg = TimeGrid(24, 1.0)
@@ -206,8 +206,10 @@ def test_run_observers_and_records_match_nodal_steps(g):
     prob = forced_problem() if dim == 1 else forced_plate_problem()
     _, energy_fn, apply_A = DIMENSIONS[dim]
     blocks = Blocks()
-    (final,), energies, _ = run_batch(prob, [g], tg, on_block=blocks)
-    q, z, E2, defect = (x[:, 0] for x in blocks.rows())
+    (final,) = run_batch(prob, [g], tg, on_block=blocks)
+    q, z, E2, defect, _ = (x[:, 0] for x in blocks.rows())
+    _, records = run(prob, g, tg)
+    energies = [r.E for r in records]
     states = nodal_states(prob, g, tg)
     assert blocks.levels == len(energies) == len(states) == tg.N + 1
 
@@ -215,7 +217,7 @@ def test_run_observers_and_records_match_nodal_steps(g):
         return mesh.norm(g, apply_A(u))
 
     kind = "b" if dim == 1 else "f"
-    for n, (st, E) in enumerate(zip(states, energies[:, 0].tolist())):
+    for n, (st, E) in enumerate(zip(states, energies)):
         assert q[n] == pytest.approx(st.q_curr, rel=1e-12)
         assert z[n] == pytest.approx(mesh.norm(g, st.V_prev, kind) ** 2, rel=1e-12)
         assert E == math.sqrt(E2[n])
@@ -367,25 +369,37 @@ def block_rows(grids):
     ids=["2d-lone-32", "1d-batch-2..32"],
 )
 def test_block_energies_match_energy_of_each_window(grids, N_of_rows):
-    # run_batch takes the energies (and the hook's values) of a block of
-    # levels in one pass; N = 1, a full block, and three full blocks and a
-    # partial one cover its ends.  Each grid's nodal loop runs alone.
+    # run_batch takes the hook's values of a block of levels in one pass,
+    # carrying the E^2 of the level before it (for the defect) and the sum
+    # of ||f^j|| (for the bound) from block to block; N = 1, a full block,
+    # and three full blocks and a partial one cover its ends.  Each grid's
+    # run and nodal loop run alone.
     dim = len(grids[0].shape)
     f = "t^3*sin(pi*x)" if dim == 1 else "t^3*sin(pi*x)*sin(pi*y)"
     rows = block_rows(grids)
     tg = TimeGrid(N_of_rows(rows), 1.0)
     problem = forced_batch(dim, f)
     blocks = Blocks()
-    _, energies, _ = run_batch(problem, grids, tg, on_block=blocks)
-    q, z, E2, defect = blocks.rows()
+    run_batch(problem, grids, tg, on_block=blocks)
+    q, z, E2, defect, bound = blocks.rows()
+    energies = np.sqrt(E2)
     assert len(blocks.parts) == -(-(tg.N + 1) // rows)
-    assert np.array_equal(np.sqrt(E2), energies)
     assert np.all(np.abs(defect) <= 1e-13 * (1.0 + E2))
     for k, g in enumerate(grids):
+        _, records = run(problem, g, tg)
+        alone = np.array([(r.E, r.bound) for r in records])
+        if len(grids) == 1:  # the same run
+            assert np.array_equal(alone, np.column_stack((energies, bound)))
+        total = 0.0
         for n, state in enumerate(nodal_states(problem, g, tg)):
             E = energy(state, tg.tau).E
             assert energies[n, k] == pytest.approx(E, rel=1e-12)
             assert q[n, k] == pytest.approx(state.q_curr, rel=1e-12)
+            if n:
+                total += mesh.norm(g, mesh.sample(g, problem.f, n * tg.tau))
+            expected = energies[0, k] + 2.0 * tg.tau * total
+            assert bound[n, k] == pytest.approx(expected, rel=1e-12)
+            assert alone[n] == pytest.approx((energies[n, k], bound[n, k]), rel=1e-12)
 
 
 def test_run_executes_n_steps_and_records():
@@ -530,18 +544,19 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     tree = expr.parse(source)
     assert expr.split_time(tree) is not None
     grids = BATCHES[dim]
-    scheme = _SineScheme(grids, 0.1)
-    times = np.array([0.0, 0.37, 1.0])
-    f_at, f_norms = scheme.forcing(tree, times)
-    rows = np.empty((len(times) - 1, scheme.size))
-    f_at(1, rows)  # lam^2 f^n of the steps n = 1, 2; the startup samples f^0
-    for n, t in enumerate(times.tolist()[1:], 1):
+    scheme = _SineScheme(grids, 0.37)
+    force = scheme.forcing(tree)
+    rows = np.empty((2, scheme.size))
+    f_norms = np.empty((2, len(grids)))
+    force(1, rows, f_norms)  # lam^2 f^n of the steps n = 1, 2; the startup samples f^0
+    for n in (1, 2):
+        t = n * scheme.tau
         ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
         ref *= scheme.lam2
         err = np.max(np.abs(rows[n - 1] - ref))
         assert err <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
-        assert f_norms[n] == pytest.approx(norms, rel=1e-13, abs=1e-300)
+        assert f_norms[n - 1] == pytest.approx(norms, rel=1e-13, abs=1e-300)
 
 
 def test_staged_forcing_samples_only_at_startup(monkeypatch):
@@ -640,7 +655,8 @@ def test_batch_evaluates_law_once_per_step(dim):
 
 
 def test_staged_time_factor_evaluated_once(monkeypatch):
-    # g(t) = t^3 is evaluated on all times of a run at once, not per step
+    # g(t) = t^3 is evaluated on all times of a block at once, not per step
+    # (one block here: levels 1..N; the startup samples f^0)
     calls = []
     evaluate = expr.evaluate
 
@@ -654,7 +670,7 @@ def test_staged_time_factor_evaluated_once(monkeypatch):
         calls.clear()
         run(forced_problem(), Grid1D(8), TimeGrid(N, 1.0))
         t_calls = [shape for shape in calls if shape]
-        assert t_calls == [(N + 1,)]
+        assert t_calls == [(N,)]
 
 
 @pytest.mark.parametrize(
@@ -671,13 +687,17 @@ def test_law_of_floats_only_is_evaluated_per_grid(func, array_func, sizes):
     # run of the same law written for arrays
     grids = [Grid1D(J) for J in sizes]
     tg = TimeGrid(16, 1.0)
-    floats = run_batch(forced_batch(1, law=damping.DampingLaw("f", func, 1.0)), grids, tg)
-    arrays = run_batch(
-        forced_batch(1, law=damping.DampingLaw("a", array_func, 1.0)), grids, tg
+    blocks, ref_blocks = Blocks(), Blocks()
+    floats = run_batch(
+        forced_batch(1, law=damping.DampingLaw("f", func, 1.0)), grids, tg, blocks
     )
-    assert np.array_equal(floats[1], arrays[1])
-    assert np.array_equal(floats[2], arrays[2])
-    for state, ref in zip(floats[0], arrays[0]):
+    arrays = run_batch(
+        forced_batch(1, law=damping.DampingLaw("a", array_func, 1.0)), grids, tg,
+        ref_blocks,
+    )
+    for a, b in zip(blocks.rows(), ref_blocks.rows()):
+        assert np.array_equal(a, b)
+    for state, ref in zip(floats, arrays):
         assert state.q_curr == ref.q_curr
 
 
@@ -730,16 +750,18 @@ REFERENCE_F = {
 @example(dim=2, sizes=[2, 5, 3], law="constant", kind=2, N=8)
 def test_batch_matches_per_grid_q_checked_reference(dim, sizes, law, kind, N):
     # the one law call per step on the array of z gives the q of a per-grid
-    # q_checked, so states, energies and bounds agree bit for bit
+    # q_checked, so states and the hook's values (energies and bounds among
+    # them) agree bit for bit
     grids = [Grid1D(J) if dim == 1 else Grid2D(J, 11 - J) for J in sizes]
     law = damping.law_from_spec(law)
     problem = forced_batch(dim, REFERENCE_F[dim][kind], law)
     reference = dataclasses.replace(problem, law=scalar_only(law))
     tg = TimeGrid(N, 1.0)
-    states, energies, bounds = run_batch(problem, grids, tg)
-    ref_states, ref_energies, ref_bounds = run_batch(reference, grids, tg)
-    assert np.array_equal(energies, ref_energies)
-    assert np.array_equal(bounds, ref_bounds)
+    blocks, ref_blocks = Blocks(), Blocks()
+    states = run_batch(problem, grids, tg, blocks)
+    ref_states = run_batch(reference, grids, tg, ref_blocks)
+    for a, b in zip(blocks.rows(), ref_blocks.rows()):
+        assert np.array_equal(a, b)
     for state, ref in zip(states, ref_states):
         assert state.q_curr == ref.q_curr and isinstance(state.q_curr, float)
         for name in ("U_prev", "U_curr", "V_prev", "V_curr"):
@@ -834,6 +856,23 @@ def test_initial_data_that_depend_on_t_are_rejected(key):
             start(problem, Grid1D(4), TimeGrid(8, 1.0))
 
 
+@pytest.mark.parametrize("key", ["u0", "u1"])
+def test_callable_initial_data_that_depend_on_t_are_rejected(key):
+    # a callable datum is sampled at t = 0 and at t = 1, so t*sin(pi*x) no
+    # longer runs as 0 without a word; one that ignores t runs as the same
+    # expression does
+    message = f"^{key} uses t, but initial data may not depend on t$"
+    problem = forced_problem()
+    uses_t = dataclasses.replace(problem, **{key: lambda x, t: t * np.sin(np.pi * x)})
+    for start in (run, init, start_mol_reference):
+        with pytest.raises(ValueError, match=message):
+            start(uses_t, Grid1D(4), TimeGrid(8, 1.0))
+    free = dataclasses.replace(problem, **{key: lambda x, t: 0.5 * np.sin(np.pi * x)})
+    same = dataclasses.replace(problem, **{key: expr.parse("0.5*sin(pi*x)")})
+    (a, _), (b, _) = (run(p, Grid1D(4), TimeGrid(8, 1.0)) for p in (free, same))
+    assert np.array_equal(a.U_curr, b.U_curr)
+
+
 @pytest.mark.parametrize(
     "key,u,grid,node",
     [
@@ -897,22 +936,22 @@ def test_increment_form_matches_extended_precision():
     assert abs(U_hat[0] - U) <= 1e-13 * abs(U)
 
 
-def test_run_keeps_only_its_outputs_per_level():
-    # A run of G grids keeps (N+1) x G energies and bounds, the times and
-    # g(t_n): the traced peak grows by at most 2G + 4 float64 per level.
+def test_run_without_a_hook_keeps_nothing_per_level():
+    # A run hands its per-level outputs to the hook and keeps none of them;
+    # the times and g(t_n) are formed per block, so without a hook the traced
+    # peak of a run does not grow with N.
     grids = [Grid1D(J) for J in (2, 4, 8, 16, 32)]
     problem = forced_batch(1)
     run_batch(problem, grids, TimeGrid(64, 1.0))  # warm-up
     peaks = []
-    for N in (4096, 16384):
+    for N in (512, 16384):
         tracemalloc.start()
         try:
             run_batch(problem, grids, TimeGrid(N, 1.0))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_level = (peaks[1] - peaks[0]) / ((16384 - 4096) * 8)
-    assert per_level <= 2 * len(grids) + 4
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -975,6 +1014,6 @@ def test_energy_balance_holds_on_random_runs(dim, sizes, law, u0, u1, kind, N):
     )
     blocks = Blocks()
     run_batch(problem, grids, TimeGrid(N, 1.0), on_block=blocks)
-    _, _, E2, defect = blocks.rows()
+    _, _, E2, defect, _ = blocks.rows()
     assert blocks.levels == N + 1
     assert np.all(np.abs(defect) <= STABILITY_TOL * (1.0 + E2))

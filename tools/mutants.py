@@ -50,7 +50,7 @@ MUTANTS = [
     Mutant("sign of Q - c_n lam^2", "stepper1d.py",
            "np.subtract(self.Q, c, out=b)", "np.subtract(c, self.Q, out=b)"),
     Mutant("forcing one step late", "stepper1d.py",
-           "g_n[n : n + len(rows), None]", "g_n[n - 1 : n - 1 + len(rows), None]"),
+           "expr_mod.evaluate(g, t=times)", "expr_mod.evaluate(g, t=times - self.tau)"),
     Mutant("guard's one test without p0", "damping.py",
            "and law.admits(q.min())", "and 0.0 <= q.min()"),
     Mutant("guard's scan names n0 for every level", "damping.py",
@@ -64,7 +64,11 @@ MUTANTS = [
     Mutant("V^2 pairing in E^2", "stepper1d.py",
            "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
     Mutant("stability bound with 4 tau", "stepper1d.py",
-           "bounds *= 2.0 * tau", "bounds *= 4.0 * tau"),
+           "bound *= 2.0 * tau", "bound *= 4.0 * tau"),
+    Mutant("the bound's running sum restarts at each block", "stepper1d.py",
+           "bound[0] += total", "bound[0] += 0.0 * total"),
+    Mutant("a block's first defect is taken against its own E^2", "stepper1d.py",
+           "scheme.balance(E2[0], E2[1 : m + 1]", "scheme.balance(E2[1], E2[1 : m + 1]"),
     Mutant("bound predicate lets a NaN energy pass", "stepper1d.py",
            "np.nonzero(~(E <= bound + slack))", "np.nonzero(E > bound + slack)"),
     Mutant("startup drops tau u1", "stepper1d.py",
