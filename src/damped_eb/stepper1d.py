@@ -307,7 +307,8 @@ class _SineScheme:
                 lam2_F, F_norms = self.lam2 * F_hat, self.norms(F_hat)
 
         def force(n, rows, norms=None):
-            times = np.arange(n, n + len(rows)) * self.tau
+            times = np.arange(n, n + len(rows), dtype=float)
+            times *= self.tau
             if split is not None:
                 try:
                     g_n = expr_mod.evaluate(g, t=times) if g else np.ones_like(times)
