@@ -453,8 +453,8 @@ def run_batch(
     All runs advance together in one time loop, on one vector of sine
     coefficients; when f is a product g(t) * F(x[, y]), F is transformed
     once per grid and g evaluated once per block of levels.  A run keeps
-    nothing whose size grows with N.  A
-    :class:`damped_eb.damping.DampingError` names the failing level and grid.
+    nothing whose size grows with N.  A :class:`damped_eb.damping.DampingError`
+    names the failing level and grid.
 
     ``on_block``, if given, receives the run's per-level outputs: it is
     called as each block of levels n0..n0+m-1 passes the guard (the blocks
