@@ -59,12 +59,9 @@ _KEYS = {
         "dimension": int, "law": str, "law_p0": float,
         "u0": expr_mod.parse, "u1": expr_mod.parse, "f": expr_mod.parse,
     },
-    "grid": {"J": int, "J2": int},
+    "grid": {"J": int},
     "time": {"N": int, "N_fast": int, "T": float},
-    "study": {
-        "N_list": _int_list, "J_list": _int_list,
-        "z_max": float, "samples": int,
-    },
+    "study": {"N_list": _int_list, "J_list": _int_list},
     "output": {"dir": str},
 }
 
@@ -96,14 +93,11 @@ class RunConfig:
     law: str | None = None
     law_p0: float | None = None
     J: int | None = None
-    J2: int | None = None
     N: int | None = None
     N_fast: int | None = None
     T: float | None = None
     N_list: list[int] | None = None
     J_list: list[int] | None = None
-    z_max: float | None = None
-    samples: int | None = None
     dir: str = "."
 
 
@@ -183,28 +177,14 @@ def _validate(cfg: RunConfig, command: str | None):
     name = cfg.path.name
     if cfg.dimension is not None and cfg.dimension not in (1, 2):
         raise ConfigError(f"{name}: dimension must be 1 or 2")
-    for key in ("J", "J2"):
-        v = getattr(cfg, key)
-        if v is not None and v < 2:
-            raise ConfigError(f"{name}: {key} must be >= 2")
-    if cfg.dimension == 1 and cfg.J2 is not None:
-        raise ConfigError(
-            f"{name}: J2 = {cfg.J2} is set but dimension = 1; a beam grid has "
-            f"only J, so drop J2"
-        )
-    if command == "spatial-study" and cfg.J2 is not None and cfg.J2 != cfg.J:
-        raise ConfigError(
-            f"{name}: J2 = {cfg.J2} differs from J; spatial-study refines "
-            f"square grids (J2 = J = each entry of J_list), so drop J2"
-        )
-    for key in ("N", "N_fast", "samples"):
+    if cfg.J is not None and cfg.J < 2:
+        raise ConfigError(f"{name}: J must be >= 2")
+    for key in ("N", "N_fast"):
         v = getattr(cfg, key)
         if v is not None and v < 1:
             raise ConfigError(f"{name}: {key} must be positive")
-    for key in ("T", "z_max"):
-        v = getattr(cfg, key)
-        if v is not None and not 0 < v < np.inf:
-            raise ConfigError(f"{name}: {key} must be positive and finite, got {v}")
+    if cfg.T is not None and not 0 < cfg.T < np.inf:
+        raise ConfigError(f"{name}: T must be positive and finite, got {cfg.T}")
     if command in _STUDY_LISTS:
         kind, key = _STUDY_LISTS[command]
         v = getattr(cfg, key)
@@ -353,9 +333,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
     try:
         if command == "validate-law":  # sample P before making the directory
             law = damping_mod.law_from_spec(cfg.law, p0=cfg.law_p0)
-            report = damping_mod.validate_law(
-                law, cfg.z_max or 100.0, cfg.samples or 1000
-            )
+            report = damping_mod.validate_law(law, 100.0)
             if not _make_dir(out):
                 return 1
             # one column per LawReport field; a violation list is reported
@@ -376,7 +354,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
         problem = _build_problem(cfg)
         if command in _STUDY_LISTS:
             if command == "temporal-study":
-                report = harness.temporal_study(problem, cfg.J, cfg.N_list, J2=cfg.J2)
+                report = harness.temporal_study(problem, cfg.J, cfg.N_list)
             else:
                 report = harness.spatial_study(problem, N, cfg.J_list)
             _write_study(out, comment, report, profile)
@@ -384,7 +362,7 @@ def execute(cfg: RunConfig, out_dir=None, profile: str = "paper") -> int:
 
         # simulate / energy-study share the single run
         tg = TimeGrid(N, cfg.T)
-        grid = mesh.grid_for(cfg.dimension, cfg.J, cfg.J2)
+        grid = mesh.grid_for(cfg.dimension, cfg.J)
         worst = [0.0, 0]  # largest |defect| / (1 + E_n^2) so far, and its n
         E2s, bounds = [], []  # E_n^2 and the bound of each block
 

@@ -79,9 +79,7 @@ def check_refinements(kind: str, values, key: str) -> None:
         )
 
 
-def temporal_study(
-    problem, J: int, N_list: list[int], J2: int | None = None
-) -> ConvergenceReport:
+def temporal_study(problem, J: int, N_list: list[int]) -> ConvergenceReport:
     """Error/order table over the strictly ascending time refinements in
     ``N_list`` (:func:`check_refinements`).
 
@@ -89,7 +87,7 @@ def temporal_study(
     the N-step run and the (N//2)-step run; both end at t = T.
     """
     check_refinements("temporal", N_list, "N_list")
-    grid = mesh.grid_for(problem.dimension, J, J2)
+    grid = mesh.grid_for(problem.dimension, J)
     Ns = sorted(set(N_list) | {N // 2 for N in N_list})
     tgs = {N: TimeGrid(N, problem.T) for N in Ns}
     terminal = {N: run_batch(problem, [grid], tg)[0].U_curr for N, tg in tgs.items()}

@@ -69,8 +69,7 @@ class Grid1D:
         if self.J < 2:
             raise ValueError("Grid1D requires J >= 2")
         self.h = 1.0 / (2 * self.J)
-        self.nodes = np.linspace(0.0, 1.0, 2 * self.J + 1)
-        _set_mesh(self, (self.nodes,), self.h)
+        _set_mesh(self, (np.linspace(0.0, 1.0, 2 * self.J + 1),), self.h)
 
 
 @dataclasses.dataclass
@@ -85,9 +84,8 @@ class Grid2D:
             raise ValueError("Grid2D requires J1, J2 >= 2")
         self.h1 = 1.0 / (2 * self.J1)
         self.h2 = 1.0 / (2 * self.J2)
-        self.xs = np.linspace(0.0, 1.0, 2 * self.J1 + 1)
-        self.ys = np.linspace(0.0, 1.0, 2 * self.J2 + 1)
-        _set_mesh(self, (self.xs, self.ys), self.h1 * self.h2)
+        axes = tuple(np.linspace(0.0, 1.0, 2 * J + 1) for J in (self.J1, self.J2))
+        _set_mesh(self, axes, self.h1 * self.h2)
 
 
 @dataclasses.dataclass
@@ -119,17 +117,16 @@ grid1d = functools.cache(Grid1D)
 grid2d = functools.cache(Grid2D)
 
 
-def grid_for(dimension: int, J: int, J2: int | None = None) -> Grid:
-    """The cached grid of a beam (dimension 1, J) or a plate (dimension 2,
-    J x J2, square when J2 is None)."""
-    if dimension == 1:
-        return grid1d(J)
-    return grid2d(J, J if J2 is None else J2)
+def grid_for(dimension: int, J: int) -> Grid:
+    """The cached grid of a beam (dimension 1, J) or a square plate
+    (dimension 2, J x J)."""
+    return grid1d(J) if dimension == 1 else grid2d(J, J)
 
 
 def grid_of(shape: tuple[int, ...]) -> Grid:
     """The cached grid whose node arrays have ``shape``."""
-    return grid_for(len(shape), *((n - 1) // 2 for n in shape))
+    Js = [(n - 1) // 2 for n in shape]
+    return grid1d(*Js) if len(Js) == 1 else grid2d(*Js)
 
 
 def _eval_on(f, coords, t):

@@ -403,20 +403,24 @@ def test_fast_study_lists_are_unknown_keys(tmp_path, capsys, study, key, profile
         assert not out.exists()
 
 
-def test_spatial_study_rejects_rectangular_grid(tmp_path, capsys):
-    study = "\n[study]\nJ_list = 4, 8\n"
-    path = write_cfg(tmp_path, TINY_2D.replace("J = 4", "J = 4\nJ2 = 8") + study)
-    out = tmp_path / "out"
-    assert main(["spatial-study", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "J2" in err[0] and "square grids" in err[0]
-    assert not out.exists()
-    # J2 = J names the square grid the study refines; other commands keep J2
-    text = TINY_2D.replace("J = 4", "J = 4\nJ2 = 4") + study
-    square = write_cfg(tmp_path, text, name="square.cfg")
-    assert load_config(square, command="spatial-study").J2 == 4
-    assert load_config(path, command="simulate").J2 == 8
+@pytest.mark.parametrize(
+    "section,after,key",
+    [("grid", "J = 4", "J2"), ("study", "J_list = 4, 8", "z_max"),
+     ("study", "J_list = 4, 8", "samples")],
+)
+def test_removed_keys_are_unknown_keys(tmp_path, capsys, section, after, key):
+    # a plate is square (J x J), and validate-law samples P at 1000 points
+    # on [0, 100]
+    text = TINY_1D.replace(after, f"{after}\n{key} = 8")
+    lineno = text.splitlines().index(f"{key} = 8") + 1
+    path = write_cfg(tmp_path, text)
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: run.cfg:{lineno}: unknown key {key!r} in [{section}]"
+        ]
+        assert not out.exists()
 
 
 def test_law_below_its_p0_exits_with_one_error_line(tmp_path, capsys):
@@ -451,17 +455,6 @@ def test_non_finite_state_exits_with_one_error_line(tmp_path, capsys, name, f):
     assert err[0].startswith("error: DampingError:")
     assert "z = ||V||^2 = inf" in err[0] or "z = ||V||^2 = nan" in err[0]
     assert not (out / "solution.csv").exists()
-
-
-def test_one_dimensional_config_rejects_J2(tmp_path, capsys):
-    path = write_cfg(tmp_path, TINY_1D.replace("J = 4", "J = 4\nJ2 = 8"))
-    for command in ("simulate", "temporal-study", "spatial-study", "energy-study"):
-        out = tmp_path / command
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "J2" in err[0] and "dimension = 1" in err[0]
-        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -734,17 +727,14 @@ _VALUES = {
     "f": ['"t^3*sin(pi*x)"', '"sin(pi*x*t)"', '"sqrt(t - 0.5)*sin(pi*x)"',
           '"exp(50*t)*sin(pi*x)*sin(pi*y)"', '"t*("'],
     "J": ["2", "4", "8", "1", "-3", "4.5"],
-    "J2": ["2", "6", "8", "0"],
     "N": ["1", "16", "64", "0", "-5", "x"],
     "N_fast": ["1", "8", "0"],
     "T": ["1", "0.5", "1e300", "0", "-1", "inf", "nan"],
     "N_list": ["8, 16", "2, 4, 64", "16, 8", "1, 2", "", "8, x"],
     "J_list": ["4, 8", "6", "4, 6, 8", "5, 10", "2, 4", "8, 4"],
-    "z_max": ["10", "1e300", "0", "-1", "1e400"],
-    "samples": ["1", "50", "0", "many"],
     "dir": ["out", '"out"'],
 }
-_OPTIONAL = ("law_p0", "J2")
+_OPTIONAL = ("law_p0",)
 _BASE = {key: values[0] for key, values in _VALUES.items() if key not in _OPTIONAL}
 _BASE_2D = {**_BASE, "dimension": "2", "u0": '"sin(pi*x)*sin(pi*y)"', "u1": '"0"',
             "f": '"t^3*sin(pi*x)*sin(pi*y)"', "J": "4"}

@@ -22,7 +22,7 @@ from oracles import random_gridfn_1d, random_gridfn_2d
 
 def test_simpson_1d_exact_for_quadratic():
     g = mesh.Grid1D(2)
-    v = g.nodes**2
+    v = g.axes[0]**2
     assert simpson_1d(v, g.h) == pytest.approx(1.0 / 3.0, abs=1e-16)
 
 
@@ -63,7 +63,7 @@ def test_simpson_2d_parity_check():
 
 def test_simpson_2d_nine_point_exact_for_biquadratic():
     g = mesh.Grid2D(2, 2)
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     v = X**2 * Y**2
     assert simpson_2d(v, g.h1, g.h2) == pytest.approx(1.0 / 9.0, abs=1e-15)
 

@@ -14,7 +14,7 @@ def test_grid1d_basics():
     assert g.h == 0.25
     assert g.shape == (5,)
     assert abs(g.h * 2 * g.J - 1.0) <= np.finfo(float).eps
-    assert np.allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(g.axes[0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_grid_minimum_size():
@@ -89,7 +89,7 @@ def test_sample_zero_and_boundary_clamp():
     assert not mesh.sample(g, expr.parse("0")).any()
     out = mesh.sample(g, expr.parse("x"))
     assert out[0] == 0.0 and out[-1] == 0.0
-    assert np.array_equal(out[1:-1], g.nodes[1:-1])
+    assert np.array_equal(out[1:-1], g.axes[0][1:-1])
 
 
 def test_sample_callable_and_t():
@@ -164,7 +164,7 @@ def test_sample_2d_domain_error_names_node():
 def test_sample_plate_callable():
     g = Grid2D(2, 3)
     out = mesh.sample(g, lambda x, y, t: t + x + 10.0 * y, t=0.5)
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     assert out.shape == g.shape
     assert np.array_equal(out[1:-1, 1:-1], (0.5 + X + 10.0 * Y)[1:-1, 1:-1])
     ring = np.ones(g.shape, dtype=bool)

@@ -15,7 +15,7 @@ from oracles import (
 
 
 def sine_mode_1d(grid, k):
-    s = np.sin(k * np.pi * grid.nodes)
+    s = np.sin(k * np.pi * grid.axes[0])
     s[0] = s[-1] = 0.0
     return s
 
@@ -199,7 +199,7 @@ def test_apply_H_and_Phi_zero():
 
 def test_apply_Phi_sine_modes_against_dense():
     g = Grid2D(4, 4)
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     m = 2 * g.J1 - 1
     Phi = dense_Phi(m, m, g.h1, g.h2)
     for k, l in [(1, 1), (2, 3), (5, 7)]:
@@ -223,7 +223,7 @@ def test_solve_H_inverse_consistency(J1, J2):
 
 def test_solve_H_mode_scaling():
     g = Grid2D(4, 4)
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     mode = np.sin(2 * np.pi * X) * np.sin(3 * np.pi * Y)
     mode[0, :] = mode[-1, :] = mode[:, 0] = mode[:, -1] = 0.0
     _, lamA = mode_eigenvalues(g.J1, 2)
@@ -253,7 +253,7 @@ def test_solve_step_2d_inverse_consistency():
 def test_solve_step_2d_mode_scaling():
     g = Grid2D(4, 4)
     a = 96.0
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     mode = np.sin(np.pi * X) * np.sin(2 * np.pi * Y)
     mode[0, :] = mode[-1, :] = mode[:, 0] = mode[:, -1] = 0.0
     mu, lamA = mode_eigenvalues(g.J1, 1)

@@ -92,7 +92,7 @@ def test_init_discrete_laplacian_accuracy():
     # discrete V^0 equals the compact eigenvalue ratio applied to the sine
     mu = -(4.0 / g.h**2) * np.sin(np.pi * g.h / 2.0) ** 2
     lam = 1.0 + g.h**2 / 12.0 * mu
-    s = np.sin(np.pi * g.nodes)
+    s = np.sin(np.pi * g.axes[0])
     assert np.max(np.abs(st.V_prev[1:-1] - (mu / lam) * s[1:-1])) < 1e-11
     # and approximates the continuous laplacian to fourth order
     assert np.max(np.abs(st.V_prev + np.pi**2 * s)) <= 10.0 * g.h**4

@@ -51,7 +51,7 @@ def test_init2d_zero_data():
 def test_init2d_discrete_laplacian_accuracy():
     g = Grid2D(16, 16)
     st = init2d(forced_problem(), g, TimeGrid(64, 1.0))
-    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    X, Y = np.meshgrid(*g.axes, indexing="ij")
     exact = -2.0 * np.pi**2 * np.sin(np.pi * X) * np.sin(np.pi * Y)
     err = np.max(np.abs(st.V_prev[1:-1, 1:-1] - exact[1:-1, 1:-1]))
     assert err <= 10.0 * (g.h1**4 + g.h2**4)
