@@ -3,7 +3,8 @@
 Grid functions are plain float64 arrays over the full closed grid
 (including boundary nodes) so stencil code can read neighbors without index
 guards; :func:`sample` and :func:`initial` set the boundary values to exact
-zero, :func:`evaluate` returns them.  A 1D grid with parameter J has
+zero, :func:`evaluate` returns them (the scheme's right side averages f
+from it, boundary included).  A 1D grid with parameter J has
 2J+1 nodes x_j = j*h, h = 1/(2J); the even node count is what makes the
 Simpson-type weighted norms below well defined.  A 2D grid is the tensor
 product of two such axes.  Each grid carries its node ``axes``, its

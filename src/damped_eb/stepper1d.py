@@ -2,7 +2,7 @@
 
 The fourth-order equation u_tt + q(t) u_t + Lap^2 u = f is reduced with the
 auxiliary variable v = Lap u and discretized by the implicit two-level
-compact scheme (all fields vanish on the boundary)
+compact scheme (U and V vanish on the boundary)
 
     A (U^{n+1} - 2U^n + U^{n-1})/tau^2
         + q_n A (U^{n+1} - U^{n-1})/(2 tau)
@@ -12,7 +12,11 @@ compact scheme (all fields vanish on the boundary)
 with (A, D) the compact average and second difference on a beam and the
 tensor operators (H, Phi) on a plate, and the nonlocal coefficient
 q_n = P(||V^n||^2), the b-norm (1D) resp. f-norm (2D) realizing Simpson's
-rule.  Both operators are diagonal in the (tensor) sine (DST-I) basis of
+rule.  The right side averages f with the left side's stencil, as in
+Collatz's Mehrstellen form: f is evaluated on the closed grid, so A f^n
+reads f's boundary values at the first and last interior nodes (under
+hinged conditions u_xxxx = f on the boundary, which need not vanish).
+Both operators are diagonal in the (tensor) sine (DST-I) basis of
 the interior, so one scheme, whose dimension comes from the grid, steps
 the sine coefficients (hats) elementwise; lam and mu denote the symbols of
 A and D.  As A and D commute and the startup sets V^0 = A^{-1} D U^0 and
@@ -22,7 +26,7 @@ into the first equation premultiplied by A leaves a recurrence on U alone.
 It is stepped in its increment (summed) form: with delta^n = U^{n+1} - U^n,
 c_n = q_n/(2 tau) and Q = lam^2/tau^2 + mu^2/2,
 
-    (Q + c_n lam^2) deltah^n = lam^2 fh^n - mu^2 Uh^n
+    (Q + c_n lam^2) deltah^n = lam (A f)h^n - mu^2 Uh^n
                                + (Q - c_n lam^2) deltah^{n-1},
     Uh^{n+1} = Uh^n + deltah^n.
 
@@ -49,19 +53,19 @@ of the law on the array of z; c_n lam^2 by one product of q_n with
 per-grid weight rows; and one elementwise update of the whole batch into
 a row of a history block of delta, V, z and q, every array it writes
 allocated once per run.  A forcing f = g(t) F(x[, y]) is staged: F is
-transformed once per grid, g evaluated once on the t_n of a block, and one
-outer product writes lam^2 f^n into the block's rows of f.  A full block
-passes one damping guard (a failure is raised at the end of the block that
-holds it but names the failing level).  For a caller's hook, its energies,
+averaged and transformed once per grid, g evaluated once on the t_n of a
+block, and one outer product writes lam (A f^n)h into the block's rows of
+f.  A full block passes one damping guard (a failure is raised at the end
+of the block that holds it but names the failing level).  For a caller's hook, its energies,
 energy-balance defects and stability bounds are then taken in one pass
 (its size is a fixed number of coefficients, so it stays in cache) and
 handed over; a run keeps nothing whose size grows with N.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
-u2 = -q(0)*u1 - A^{-1} D V^0 + f^0, and U^1 = U^0 + delta^0.  f^0 samples
-f(., 0) like u1, so a staged or sampled forcing serves only the steps
-n >= 1.
+u2 = -q(0)*u1 - A^{-1} D V^0 + A^{-1} (A f^0), and U^1 = U^0 + delta^0.
+The startup forms (A f^0)h/lam itself, so a staged or sampled forcing
+serves only the steps n >= 1.
 
 The module also carries the discrete energy
 
@@ -70,7 +74,10 @@ The module also carries the discrete energy
 whose balance E_n^2 - E_{n-1}^2 + q_n/(2 tau) ||A s||^2 = (A f^n, A s),
 s = U^{n+1} - U^{n-1}, holds at every step (the scheme's first equation
 against A s), so E is non-increasing when f = 0; the companion stability
-bound E^n <= E^0 + 2 tau sum ||f^j||; and an RK4 method-of-lines
+bound E^n <= E^0 + 2 tau sum ||f^j||, where ||f|| = sqrt(cell sum f^2)
+sums over every node of the closed grid: along each axis
+((a + 10b + c)/12)^2 <= (a^2 + 10b^2 + c^2)/12, so ||A f|| <= ||f||, which
+bounds (A f^n, A s) by ||f^n|| ||A s||; and an RK4 method-of-lines
 integrator for the spatially semi-discrete beam, used as an independent
 reference solution (nodal stencils and solves of A only).
 """
@@ -172,7 +179,7 @@ class _SineScheme:
     Each grid's interior coefficients are flattened into one block of a
     single vector, next to the grid's symbols (lam, mu): of (A, D) on a
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
-    q_n is one scalar per grid, and the per-grid values (z, E, ||f||, q_n)
+    q_n is one scalar per grid, and the per-grid values (z, E, q_n)
     meet the coefficients only through weight matrices built once, so one
     path serves any number of grids.  A step (:meth:`advance`) reads U^n,
     the increment delta^{n-1} = U^n - U^{n-1} and q_n, writes delta^n by
@@ -209,14 +216,15 @@ class _SineScheme:
         lam = np.concatenate([x.ravel() for x in lams])
         mu = np.concatenate([x.ravel() for x in mus])
         self.size = lam.size
+        self.lam = lam
         self.lam2 = lam * lam
         self.mu2 = mu * mu
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
         self.Q = self.lam2 / (tau * tau) + 0.5 * self.mu2
         # Per-grid and per-coefficient values meet only in products with one
-        # row (z, ||f||^2, c_n lam^2) or column (E^2) of weights per grid, zero
-        # off its block: cell for z and ||f||^2, lam2/(2 tau) for
+        # row (z, c_n lam^2) or column (E^2) of weights per grid, zero
+        # off its block: cell for z, lam2/(2 tau) for
         # c_n lam^2 = q_n lam2/(2 tau), and
         # cell*lam2/2*((2/tau^2) delta^2 + Vh^2 + Vh-^2) for E^2.  One term of
         # each sum is nonzero and q_n is finite, so spreading q_n is exact.
@@ -252,9 +260,20 @@ class _SineScheme:
             out.append(fields)
         return out
 
-    def sample(self, f, t: float) -> np.ndarray:
-        """Coefficients of ``f`` sampled at time t on every grid."""
-        return self.sine([mesh.sample(g, f, t)[g.interior] for g in self.grids])
+    def average(self, fields: list[np.ndarray]) -> np.ndarray:
+        """Coefficients of the compact average A f (H f on a plate) of one
+        nodal field per grid, boundary values included."""
+        return self.sine([
+            functools.reduce(operators._compact_along, range(f.ndim), f)[g.interior]
+            for g, f in zip(self.grids, fields)
+        ])
+
+    def sample(self, f, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A f)h of ``f`` at time t on every grid, f evaluated on the closed
+        grid, and ||f|| = sqrt(cell sum f^2) over all its nodes per grid."""
+        fields = [mesh.evaluate(g, f, t) for g in self.grids]
+        norms = [g.cell * np.sum(v * v) for g, v in zip(self.grids, fields)]
+        return self.average(fields), np.sqrt(norms)
 
     def coefficients(self, state: StepperState) -> np.ndarray:
         """Window of a state on a batch of one grid, one level per row."""
@@ -266,10 +285,6 @@ class _SineScheme:
         """One nodal state per grid at index n, given q_n per grid."""
         fields = self.nodal(np.stack(window))
         return [StepperState(n, *f, q_i) for f, q_i in zip(fields, q.tolist())]
-
-    def norms(self, u: np.ndarray) -> np.ndarray:
-        """l2 norm per grid of the nodal field with coefficients u (Parseval)."""
-        return np.sqrt(np.dot(u * u, self.z_weights.T))
 
     def integral(self, V: np.ndarray, z: np.ndarray) -> None:
         """Writes z = ||V||^2 per grid into ``z``, where c -> c + flip(c)/3
@@ -286,12 +301,12 @@ class _SineScheme:
 
     def forcing(self, f):
         """The map (n, rows, norms=None) that writes the coefficients of
-        lam^2 f^{n+k}, f^j = f(., j tau), into rows[k] for each k, and
-        ||f^{n+k}|| per grid into norms[k] when norms is given
-        (:meth:`start` samples f^0 itself).
+        lam (A f^{n+k})h, f^j = f(., j tau), into rows[k] for each k, and
+        ||f^{n+k}|| per grid (:meth:`sample`) into norms[k] when norms is
+        given (:meth:`start` samples f^0 itself).
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
-        staged: F is sampled and transformed once, g evaluated on the times
+        staged: F is sampled and averaged once, g evaluated on the times
         of a call, and the call is one outer product.  Any other f, an F
         that leaves its domain, or a call whose times take g out of its
         domain, is sampled at each time (naming the node where it fails).
@@ -300,11 +315,11 @@ class _SineScheme:
         if split is not None:
             g, F = split
             try:
-                F_hat = self.sample(F, 0.0)
+                AF_hat, F_norms = self.sample(F, 0.0)
             except expr_mod.DomainError:
                 split = None
             else:
-                lam2_F, F_norms = self.lam2 * F_hat, self.norms(F_hat)
+                lam_AF = self.lam * AF_hat
 
         def force(n, rows, norms=None):
             times = np.arange(n, n + len(rows), dtype=float)
@@ -315,16 +330,16 @@ class _SineScheme:
                 except expr_mod.DomainError:
                     pass  # sample this call's levels, naming the failing node
                 else:
-                    np.multiply(g_n[:, None], lam2_F, out=rows)
+                    np.multiply(g_n[:, None], lam_AF, out=rows)
                     if norms is not None:
                         np.multiply(g_n[:, None], F_norms, out=norms)
                         np.abs(norms, out=norms)
                     return
             for k, row in enumerate(rows):
-                f_hat = self.sample(f, times.item(k))
+                Af_hat, f_norms = self.sample(f, times.item(k))
                 if norms is not None:
-                    norms[k] = self.norms(f_hat)
-                np.multiply(self.lam2, f_hat, out=row)
+                    norms[k] = f_norms
+                np.multiply(self.lam, Af_hat, out=row)
 
         return force
 
@@ -336,19 +351,19 @@ class _SineScheme:
 
     def start(self, problem, z0, q0):
         """Startup at n = 1: the window (U^0, U^1, V^0, V^1) and
-        delta^0 = tau u1 + (tau^2/2) u2 with u2 = -q_0 u1 - A^{-1} D V^0 + f^0
-        (each sampled at t = 0; z_0 and q_0 per grid written, unchecked, into
-        z0 and q0).  Raises ValueError on initial data :meth:`initial`
-        rejects."""
+        delta^0 = tau u1 + (tau^2/2) u2 with
+        u2 = -q_0 u1 - A^{-1} D V^0 + A^{-1} (A f^0) (each sampled at t = 0;
+        z_0 and q_0 per grid written, unchecked, into z0 and q0).  Raises
+        ValueError on initial data :meth:`initial` rejects."""
         tau = self.tau
-        f_hat = self.sample(problem.f, 0.0)
+        Af_hat, _ = self.sample(problem.f, 0.0)
         U0 = self.initial(problem, "u0")
         V0 = self.AinvD * U0
         self.integral(V0, z0)
         problem.law.evaluate(z0, q0)
         bilap = self.AinvD * V0
         u1 = self.initial(problem, "u1")
-        u2 = -q0[self.owner] * u1 - bilap + f_hat
+        u2 = -q0[self.owner] * u1 - bilap + Af_hat / self.lam
         d = tau * u1 + 0.5 * tau * tau * u2
         U1 = U0 + d
         window = (U0, U1, V0, self.AinvD * U1)
@@ -357,7 +372,7 @@ class _SineScheme:
     def advance(self, U, d, q, F, out) -> None:
         """Writes delta^n and V^{n+1} into ``out`` and adds delta^n to U in
         place, given U^n, d = delta^{n-1}, q_n per grid and the coefficients
-        F of lam^2 f^n."""
+        F of lam (A f^n)h."""
         b, c = self.work
         d_next, V_next = out
         np.multiply(self.mu2, U, out=b)
@@ -380,7 +395,7 @@ class _SineScheme:
 
     def balance(self, E2_prev, E2, D, F, q) -> np.ndarray:
         """Defect per grid (columns) of the energy balance (module docstring)
-        of each step n: rows of E2, F and q hold E_n^2, lam^2 f^n and q_n, of
+        of each step n: rows of E2, F and q hold E_n^2, lam (A f^n)h and q_n, of
         D delta^{n-1}, delta^n, ... (one more), s = U^{n+1} - U^{n-1}."""
         s = D[1:] + D[:-1]
         As2 = (s * s) @ self.V_weights  # ||A s||^2 / 2
@@ -413,15 +428,16 @@ def step(
     state: StepperState, f_n: np.ndarray, tau: float, law: DampingLaw
 ) -> StepperState:
     """Advance any window one level: solve for U^{n+1}, then recover V^{n+1},
-    carrying the window's offset W (module docstring).  The new state holds
-    the given U^n and V^n as its U_prev and V_prev."""
+    carrying the window's offset W (module docstring).  ``f_n`` holds f^n
+    at every node, boundary included, and the right side averages it
+    there.  The new state holds the given U^n and V^n as its U_prev and
+    V_prev."""
     scheme = _nodal_scheme(state.U_curr.shape, tau)
-    f_hat = scheme.sine([f_n[scheme.grids[0].interior]])
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
     U_next = U.copy()
     d_next, V_next = np.empty_like(U), np.empty_like(V)
-    F = scheme.lam2 * f_hat - scheme.DA * W
+    F = scheme.lam * scheme.average([f_n]) - scheme.DA * W
     z, q = np.empty((2, 1, 1))  # level n of one grid
     scheme.integral(V, z[0])
     law.evaluate(z[0], q[0])
@@ -466,7 +482,7 @@ def run_batch(
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
-    # History of delta, V, lam^2 f^n, z_n and q_n in blocks of `rows`
+    # History of delta, V, lam (A f^n)h, z_n and q_n in blocks of `rows`
     # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1}
     # and V^n in, the step that writes D[i] reads F[i] (staged at the block's
     # start) and writes its z_n and q_n into Z[i] and Q[i]; a full block is
@@ -580,7 +596,8 @@ def mol_reference(
     """Classical RK4 on the semi-discrete system; returns (U, U', V) at t_end.
 
     The system integrated is U' = W, A W' = A f - q(t) A W - D V,
-    A V' = D W with q(t) = P(||V||_b^2).  The caller picks dt; stability
+    A V' = D W with q(t) = P(||V||_b^2), A f reading f on the closed grid
+    as the scheme's right side does.  The caller picks dt; stability
     of RK4 on this stiff system needs roughly dt <= h^2/4.  Raises
     ValueError on initial data :func:`damped_eb.mesh.initial` rejects.
     """
@@ -593,7 +610,8 @@ def mol_reference(
 
     def deriv(t, u, w, v):
         q = damping_mod.q_coefficient(v, problem.law)
-        dw = mesh.sample(grid, problem.f, t) - q * w - operators.solve_A(
+        f = operators.solve_A(operators.apply_A(mesh.evaluate(grid, problem.f, t)))
+        dw = f - q * w - operators.solve_A(
             operators.apply_D(v, h)
         )
         dv = operators.solve_A(operators.apply_D(w, h))

@@ -407,6 +407,7 @@ def test_fast_study_lists_are_unknown_keys(tmp_path, capsys, study, key, profile
     "section,after,key",
     [("grid", "J = 4", "J2"), ("study", "J_list = 4, 8", "z_max"),
      ("study", "J_list = 4, 8", "samples")],
+    ids=["J2", "z_max", "samples"],
 )
 def test_removed_keys_are_unknown_keys(tmp_path, capsys, section, after, key):
     # a plate is square (J x J), and validate-law samples P at 1000 points

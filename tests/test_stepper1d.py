@@ -68,6 +68,11 @@ def forced_plate_problem():
 
 # one shared scheme: the grid's dimension picks beam or plate, and the
 # nodal wrappers, energy and A-type operator of that dimension
+def closed_norm(grid, f):
+    """sqrt(cell * sum f^2) over every node of the grid, boundary included."""
+    return math.sqrt(grid.cell * np.sum(f * f))
+
+
 DIMENSIONS = {
     1: (step, energy, operators.apply_A),
     2: (step2d, energy2d, operators.apply_H),
@@ -548,14 +553,17 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     force = scheme.forcing(tree)
     rows = np.empty((2, scheme.size))
     f_norms = np.empty((2, len(grids)))
-    force(1, rows, f_norms)  # lam^2 f^n of the steps n = 1, 2; the startup samples f^0
+    force(1, rows, f_norms)  # lam (A f^n)h of the steps n = 1, 2; the startup samples f^0
+    apply_A = DIMENSIONS[dim][2]
     for n in (1, 2):
         t = n * scheme.tau
-        ref = scheme.sine([mesh.sample(g, tree, t)[g.interior] for g in grids])
-        ref *= scheme.lam2
+        # the stencil's average of f on the closed grid, boundary included
+        fields = [mesh.evaluate(g, tree, t) for g in grids]
+        ref = scheme.sine([apply_A(f)[g.interior] for f, g in zip(fields, grids)])
+        ref *= scheme.lam
         err = np.max(np.abs(rows[n - 1] - ref))
         assert err <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-        norms = [mesh.norm(g, mesh.sample(g, tree, t)) for g in grids]
+        norms = [closed_norm(g, f) for f, g in zip(fields, grids)]
         assert f_norms[n - 1] == pytest.approx(norms, rel=1e-13, abs=1e-300)
 
 
@@ -965,14 +973,15 @@ def test_run_without_a_hook_keeps_nothing_per_level():
     ids=["1d-staged", "1d-sampled", "2d-staged", "2d-sampled"],
 )
 def test_bound_is_the_first_energy_plus_2_tau_times_the_forcing_norms(g, f):
-    # recomputed from the sampled f^j alone: E^0 + 2 tau sum_{j=1..n} ||f^j||
+    # recomputed from f^j alone: E^0 + 2 tau sum_{j=1..n} ||f^j||, the norm
+    # summing every node of the closed grid
     problem = forced_batch(len(g.shape), f)
     tg = TimeGrid(20, 1.0)
     _, records = run(problem, g, tg)
     total = 0.0
     for n, rec in enumerate(records):
         if n:
-            total += mesh.norm(g, mesh.sample(g, problem.f, n * tg.tau))
+            total += closed_norm(g, mesh.evaluate(g, problem.f, n * tg.tau))
         expected = records[0].E + 2.0 * tg.tau * total
         assert rec.bound == pytest.approx(expected, rel=1e-12)
 

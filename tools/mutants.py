@@ -76,7 +76,11 @@ MUTANTS = [
     Mutant("sign of q_0 u1 in u2", "stepper1d.py",
            "u2 = -q0[self.owner] * u1", "u2 = q0[self.owner] * u1"),
     Mutant("startup drops f^0", "stepper1d.py",
-           "- bilap + f_hat", "- bilap"),
+           "- bilap + Af_hat / self.lam", "- bilap"),
+    Mutant("right side drops f's boundary values", "stepper1d.py",
+           "fields = [mesh.evaluate(g, f, t)", "fields = [mesh.sample(g, f, t)"),
+    Mutant("bound sums f's interior norm only", "stepper1d.py",
+           "g.cell * np.sum(v * v)", "g.cell * np.sum(v[g.interior] ** 2)"),
     Mutant("spatial-study error weight 1/J", "harness.py",
            "h_row = 1.0 / (2 * J)", "h_row = 1.0 / J"),
     Mutant("validate_law Lipschitz slack 1e-1", "damping.py",
