@@ -56,10 +56,11 @@ allocated once per run.  A forcing f = g(t) F(x[, y]) is staged: F is
 averaged and transformed once per grid, g evaluated once on the t_n of a
 block, and one outer product writes lam (A f^n)h into the block's rows of
 f.  A full block passes one damping guard (a failure is raised at the end
-of the block that holds it but names the failing level).  For a caller's hook, its energies,
-energy-balance defects and stability bounds are then taken in one pass
-(its size is a fixed number of coefficients, so it stays in cache) and
-handed over; a run keeps nothing whose size grows with N.
+of the block that holds it but names the failing level).  For a caller's
+hook, its energies, energy-balance defects and stability bounds are then
+taken in one pass (its size is a fixed number of coefficients, so it
+stays in cache) and handed over; a run keeps nothing whose size grows
+with N.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration

@@ -553,7 +553,7 @@ def test_staged_forcing_matches_sampled_coefficients(dim, source):
     force = scheme.forcing(tree)
     rows = np.empty((2, scheme.size))
     f_norms = np.empty((2, len(grids)))
-    force(1, rows, f_norms)  # lam (A f^n)h of the steps n = 1, 2; the startup samples f^0
+    force(1, rows, f_norms)  # lam (A f^n)h of steps n = 1, 2; the startup samples f^0
     apply_A = DIMENSIONS[dim][2]
     for n in (1, 2):
         t = n * scheme.tau
