@@ -52,15 +52,18 @@ gather per axis and z by one product with per-grid weight rows; one call
 of the law on the array of z; c_n lam^2 by one product of q_n with
 per-grid weight rows; and one elementwise update of the whole batch into
 a row of a history block of delta, V, z and q, every array it writes
-allocated once per run.  A forcing f = g(t) F(x[, y]) is staged: F is
-averaged and transformed once per grid, g evaluated once on the t_n of a
-block, and one outer product writes lam (A f^n)h into the block's rows of
-f.  A full block passes one damping guard (a failure is raised at the end
-of the block that holds it but names the failing level).  For a caller's
-hook, its energies, energy-balance defects and stability bounds are then
-taken in one pass (its size is a fixed number of coefficients, so it
-stays in cache) and handed over; a run keeps nothing whose size grows
-with N.
+allocated once per run.  The time loop hands the step a block of levels
+per call, as views of the history block's rows taken once per run, so a
+level costs those numpy calls and little else; the nodal step is the
+same call on a block of one level.  A forcing f = g(t) F(x[, y]) is
+staged: F is averaged and transformed once per grid, g evaluated once on
+the t_n of a block, and one outer product writes lam (A f^n)h into the
+block's rows of f.  A full block passes one damping guard (a failure is
+raised at the end of the block that holds it but names the failing
+level).  For a caller's hook, its energies, energy-balance defects and
+stability bounds are then taken in one pass (its size is a fixed number
+of coefficients, so it stays in cache) and handed over; a run keeps
+nothing whose size grows with N.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
@@ -87,6 +90,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from typing import ClassVar
 
 import numpy as np
@@ -182,12 +186,14 @@ class _SineScheme:
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
     q_n is one scalar per grid, and the per-grid values (z, E, q_n)
     meet the coefficients only through weight matrices built once, so one
-    path serves any number of grids.  A step (:meth:`advance`) reads U^n,
-    the increment delta^{n-1} = U^n - U^{n-1} and q_n, writes delta^n by
-    the increment form of the recurrence on U, adds it to U in place and
-    recovers V^{n+1} = A^{-1} D U^{n+1} (module docstring).  A step
-    writes only into arrays allocated once, with the scheme or the run (the
-    law's result aside); transforms run per grid, only at the ends of a run.
+    path serves any number of grids.  :meth:`advance` steps U through a
+    block of levels: per level it takes z_n = ||V^n||^2 and q_n = P(z_n),
+    writes delta^n by the increment form of the recurrence on U from U^n,
+    the increment delta^{n-1} = U^n - U^{n-1} and q_n, adds it to U in
+    place and recovers V^{n+1} = A^{-1} D U^{n+1} (module docstring).  A
+    step writes only into arrays allocated once, with the scheme or the run
+    (the law's result aside); transforms run per grid, only at the ends of
+    a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -208,7 +214,7 @@ class _SineScheme:
         # coefficient.
         self.owner = np.repeat(np.arange(len(grids)), sizes)
         index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
-        self.flips = [
+        flips = [
             np.concatenate(
                 [a + np.flip(i, axis).ravel() for a, i in zip(starts, index)]
             )
@@ -237,8 +243,10 @@ class _SineScheme:
         self.V_weights = np.zeros((lam.size, len(grids)))
         self.V_weights[k, owner] = 0.5 * cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
-        # the step's scratch: two coefficient vectors
+        # the step's scratch: two coefficient vectors; integral gathers each
+        # flip into one of them
         self.work = np.empty((2, lam.size))
+        self.gathers = list(zip(flips, self.work))
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -291,14 +299,14 @@ class _SineScheme:
         """Writes z = ||V||^2 per grid into ``z``, where c -> c + flip(c)/3
         along each axis."""
         w = V
-        for flip, out in zip(self.flips, self.work):
+        for flip, out in self.gathers:
             # (mode="raise" would buffer the gather; the index is valid)
-            w.take(flip, out=out, mode="wrap")
+            w.take(flip, None, out, "wrap")
             out *= 1.0 / 3.0
             out += w
             w = out
         w *= V
-        np.dot(self.z_weights, w, out=z)
+        np.dot(self.z_weights, w, z)
 
     def forcing(self, f):
         """The map (n, rows, norms=None) that writes the coefficients of
@@ -370,22 +378,35 @@ class _SineScheme:
         window = (U0, U1, V0, self.AinvD * U1)
         return window, d
 
-    def advance(self, U, d, q, F, out) -> None:
-        """Writes delta^n and V^{n+1} into ``out`` and adds delta^n to U in
-        place, given U^n, d = delta^{n-1}, q_n per grid and the coefficients
-        F of lam (A f^n)h."""
+    def advance(self, U, law, levels) -> None:
+        """Steps U in place through ``levels``, an iterable of one tuple of
+        rows (V^n, delta^{n-1}, z_n, q_n, F, delta^n, V^{n+1}) per level,
+        F holding the coefficients of lam (A f^n)h: per level, writes
+        z_n = ||V^n||^2 (:meth:`integral`) and q_n = P(z_n)
+        (``law.evaluate``) per grid, then delta^n and V^{n+1}, and adds
+        delta^n to U.  Unchecked: the caller guards z and q.  A law that
+        raises does so after its level's tuple was taken from ``levels``.
+
+        The per-level work is the numpy calls alone: the scheme's arrays,
+        the law and the ufuncs are bound once per call and ``out`` passed
+        by position."""
+        integral, evaluate = self.integral, law.evaluate
+        mu2, Q, AinvD, c_weights = self.mu2, self.Q, self.AinvD, self.c_weights
+        multiply, subtract, dot = np.multiply, np.subtract, np.dot
         b, c = self.work
-        d_next, V_next = out
-        np.multiply(self.mu2, U, out=b)
-        np.subtract(F, b, out=d_next)
-        np.dot(q, self.c_weights, out=c)  # c_n lam^2
-        np.subtract(self.Q, c, out=b)
-        b *= d
-        d_next += b
-        c += self.Q
-        d_next /= c
-        U += d_next
-        np.multiply(self.AinvD, U, out=V_next)
+        for V, d, z, q, F, d_next, V_next in levels:
+            integral(V, z)
+            evaluate(z, q)
+            multiply(mu2, U, b)
+            subtract(F, b, d_next)
+            dot(q, c_weights, c)  # c_n lam^2
+            subtract(Q, c, b)
+            b *= d
+            d_next += b
+            c += Q
+            d_next /= c
+            U += d_next
+            multiply(AinvD, U, V_next)
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
         """E^2 per grid (columns) of each window (delta^k, V^k, V^{k+1}),
@@ -437,13 +458,12 @@ def step(
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
     U_next = U.copy()
-    d_next, V_next = np.empty_like(U), np.empty_like(V)
+    d_next, V_next = np.empty((2, U.size))
     F = scheme.lam * scheme.average([f_n]) - scheme.DA * W
     z, q = np.empty((2, 1, 1))  # level n of one grid
-    scheme.integral(V, z[0])
-    law.evaluate(z[0], q[0])
+    with np.errstate(all="ignore"):  # a failing q_n is raised by the guard
+        scheme.advance(U_next, law, [(V, U - U_prev, z[0], q[0], F, d_next, V_next)])
     damping_mod.check_levels(law, z, q, state.n, tau, scheme.grids)
-    scheme.advance(U_next, U - U_prev, q[0], F, (d_next, V_next))
     V_next += W
     ((U_new, V_new),) = scheme.nodal(np.stack((U_next, V_next)))
     return StepperState(state.n + 1, state.U_curr, U_new, state.V_curr, V_new, q.item())
@@ -492,12 +512,10 @@ def run_batch(
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
     D, V, F = np.zeros((3, rows + 1, scheme.size))
     Z, Q, E2, B = np.zeros((4, rows + 1, len(grids)))
-    D_row, V_row, F_row, Z_row, Q_row = map(list, (D, V, F, Z, Q))  # views, once
+    # the rows of :meth:`_SineScheme.advance`, views taken once: the step
+    # from row j writes row j + 1
+    steps = list(zip(V, D, Z[1:], Q[1:], F[1:], D[1:], V[1:]))
     E0, total = np.zeros((2, len(grids)))  # E^0, and sum ||f^j|| before the block
-
-    def prepare(n, first):  # rows first.. of F (and B) with the levels from n on
-        end = min(rows, N + first - n) + 1
-        force(n, F[first:end], None if on_block is None else B[first:end])
 
     def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
         damping_mod.check_levels(law, Z[1 : m + 1], Q[1 : m + 1], n0, tau, grids)
@@ -524,27 +542,32 @@ def run_batch(
         force = scheme.forcing(problem.f)
         (_, U, V[0], V[1]), D[1] = scheme.start(problem, Z[1], Q[1])
         D[0] = -D[1]  # level 0: s = f = 0, no defect
-        n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1
+        n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1, unguarded
         try:
-            prepare(1, 2)
-            for n in range(1, N + 1):
-                if i == rows:
-                    close(n0, i)
-                    D[0], V[0] = D[i], V[i]
-                    prepare(n, 1)
-                    n0, i = n, 0
-                z, q, out = Z_row[i + 1], Q_row[i + 1], (D_row[i + 1], V_row[i + 1])
-                scheme.integral(V_row[i], z)
-                law.evaluate(z, q)
-                scheme.advance(U, D_row[i], q, F_row[i + 1], out)
-                i += 1
+            while True:
+                m = min(rows, N + 1 - n0)  # the block's levels, in rows 1 .. m
+                new = slice(i + 1, m + 1)  # the rows the block's steps write
+                force(n0 + i, F[new], None if on_block is None else B[new])
+                left = iter(steps[i:m])
+                try:
+                    scheme.advance(U, law, left)
+                except Exception:  # from the law, at the level of the last row taken
+                    i = m - 1 - operator.length_hint(left)
+                    raise
+                i = 0  # the guard of close checks rows 1 .. m
+                close(n0, m)
+                if n0 + m > N:
+                    break
+                D[0], V[0] = D[m], V[m]
+                n0 += m
         except damping_mod.DampingError:  # from the guard of a closing block
             raise
         except Exception:  # from a law, forcing or hook: name an earlier failure first
-            damping_mod.check_levels(law, Z[1 : i + 1], Q[1 : i + 1], n0, tau, grids)
+            if i:
+                levels = Z[1 : i + 1], Q[1 : i + 1]
+                damping_mod.check_levels(law, *levels, n0, tau, grids)
             raise
-        close(n0, i)
-    return scheme.states(N + 1, (U - D[i], U, V[i - 1], V[i]), Q[i])
+    return scheme.states(N + 1, (U - D[m], U, V[m - 1], V[m]), Q[m])
 
 
 def run(

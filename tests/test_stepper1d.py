@@ -407,6 +407,56 @@ def test_block_energies_match_energy_of_each_window(grids, N_of_rows):
             assert alone[n] == pytest.approx((energies[n, k], bound[n, k]), rel=1e-12)
 
 
+BLOCK_CASES = pytest.mark.parametrize(
+    "grids",
+    [[Grid2D(16, 16)], [Grid1D(J) for J in (2, 4, 8, 16, 32)]],
+    ids=["2d-lone-16", "1d-batch-2..32"],
+)
+
+
+@BLOCK_CASES
+def test_block_size_leaves_every_value_unchanged(grids, monkeypatch):
+    # advance steps a block of levels per call; blocks of two rows give the
+    # final states and hook arrays of the default blocks bit for bit (N =
+    # 3 rows + 1 spans four default blocks, the last one partial)
+    dim = len(grids[0].shape)
+    f = "t^3*sin(pi*x)" if dim == 1 else "t^3*sin(pi*x)*sin(pi*y)"
+    problem = forced_batch(dim, f)
+    tg = TimeGrid(3 * block_rows(grids) + 1, 1.0)
+    results = []
+    for coefficients in (_BLOCK_COEFFICIENTS, 0):  # rows = max(2, 0) = 2
+        monkeypatch.setattr(stepper1d, "_BLOCK_COEFFICIENTS", coefficients)
+        blocks = Blocks()
+        states = run_batch(problem, grids, tg, on_block=blocks)
+        fields = [dataclasses.astuple(state) for state in states]
+        results.append((fields, blocks.rows(), len(blocks.parts)))
+    (fields, rows, count), (fields_2, rows_2, count_2) = results
+    assert (count, count_2) == (4, -(-(tg.N + 1) // 2))
+    for a, b in zip(fields, fields_2):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(rows, rows_2))
+
+
+@BLOCK_CASES
+def test_run_batch_advances_once_per_block(grids, monkeypatch):
+    # the time loop hands advance a block of levels per call, not one level
+    calls = []
+    advance = _SineScheme.advance
+
+    def counted(self, U, law, levels):
+        levels = list(levels)
+        calls.append(len(levels))
+        advance(self, U, law, levels)
+
+    monkeypatch.setattr(_SineScheme, "advance", counted)
+    rows = block_rows(grids)
+    tg = TimeGrid(3 * rows + 1, 1.0)
+    run_batch(forced_batch(len(grids[0].shape)), grids, tg)
+    # levels 1 .. rows - 1 (the startup writes level 0), two full blocks,
+    # and the last two levels
+    assert calls == [rows - 1, rows, rows, 2]
+
+
 def test_run_executes_n_steps_and_records():
     g = Grid1D(4)
     state, records = run(forced_problem(), g, TimeGrid(1, 1.0))
@@ -847,6 +897,40 @@ def test_law_raising_after_a_failed_level_still_names_that_level():
     with pytest.raises(damping.DampingError) as ref:
         run_batch(array_law, grids, tg)
     assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "failed",
+    [0, 1, 4, 5, 7],
+    ids=["startup", "first-step", "last-of-block", "first-of-block", "mid-block"],
+)
+def test_law_raising_right_after_a_failed_level_names_that_level(failed, monkeypatch):
+    # a law of floats only gives an inadmissible q at level `failed` and
+    # raises an error that is no DomainError at the next level; the run
+    # still raises the DampingError of the failed level, whether the raise
+    # comes in the same block (the failure path checks exactly the levels
+    # before it) or in the next one (the guard of the closing block)
+    grid = Grid1D(8)  # one grid: the law's k-th call on a float is level k
+    # 15 coefficients a level: rows = 5
+    monkeypatch.setattr(stepper1d, "_BLOCK_COEFFICIENTS", 5 * 15)
+    levels = []
+
+    def func(z):
+        if isinstance(z, np.ndarray):
+            raise TypeError("the law takes one z at a time")
+        levels.append(z)
+        if len(levels) == failed + 2:
+            raise OverflowError("z too large for this law")
+        return 0.5 if len(levels) == failed + 1 else 1.0
+
+    problem = forced_problem(damping.DampingLaw("counting", func, p0=1.0))
+    tg = TimeGrid(20, 1.0)
+    with pytest.raises(damping.DampingError) as err:
+        run_batch(problem, [grid], tg)
+    n, t, _, q, name = named_failure(err.value)
+    assert (n, q, name) == (failed, 0.5, repr(grid))
+    assert t == pytest.approx(failed * tg.tau, rel=1e-5)  # printed to 6 digits
+    assert len(levels) == failed + (1 if failed == 4 else 2)
 
 
 def start_mol_reference(problem, grid, tg):

@@ -48,7 +48,9 @@ MUTANTS = [
     Mutant("startup tau^2 for tau^2/2", "stepper1d.py",
            "0.5 * tau * tau * u2", "tau * tau * u2"),
     Mutant("sign of Q - c_n lam^2", "stepper1d.py",
-           "np.subtract(self.Q, c, out=b)", "np.subtract(c, self.Q, out=b)"),
+           "subtract(Q, c, b)", "subtract(c, Q, b)"),
+    Mutant("a level's z and q rows shifted by one", "stepper1d.py",
+           "zip(V, D, Z[1:], Q[1:],", "zip(V, D, Z[:-1], Q[:-1],"),
     Mutant("forcing one step late", "stepper1d.py",
            "expr_mod.evaluate(g, t=times)", "expr_mod.evaluate(g, t=times - self.tau)"),
     Mutant("guard's one test without p0", "damping.py",
@@ -59,8 +61,11 @@ MUTANTS = [
            "damping_mod.check_levels(law, Z[1 : m + 1]",
            "(lambda *args: None)(law, Z[1 : m + 1]"),
     Mutant("a law that raises hides an earlier failed level", "stepper1d.py",
-           "damping_mod.check_levels(law, Z[1 : i + 1]",
-           "(lambda *args: None)(law, Z[1 : i + 1]"),
+           "damping_mod.check_levels(law, *levels",
+           "(lambda *args: None)(law, *levels"),
+    Mutant("the failure path checks one level too few", "stepper1d.py",
+           "i = m - 1 - operator.length_hint(left)",
+           "i = m - 2 - operator.length_hint(left)"),
     Mutant("V^2 pairing in E^2", "stepper1d.py",
            "V2[1:] + V2[:-1]", "V2[1:] + V2[1:]"),
     Mutant("stability bound with 4 tau", "stepper1d.py",
