@@ -306,7 +306,7 @@ class _SineScheme:
             out += w
             w = out
         w *= V
-        np.dot(self.z_weights, w, z)
+        self.z_weights.dot(w, z)
 
     def forcing(self, f):
         """The map (n, rows, norms=None) that writes the coefficients of
@@ -388,18 +388,19 @@ class _SineScheme:
         raises does so after its level's tuple was taken from ``levels``.
 
         The per-level work is the numpy calls alone: the scheme's arrays,
-        the law and the ufuncs are bound once per call and ``out`` passed
-        by position."""
+        the law and the ufuncs are bound once per call, ``out`` is passed
+        by position and the products are taken by ``ndarray.dot`` (np.dot's
+        routine without its dispatch)."""
         integral, evaluate = self.integral, law.evaluate
         mu2, Q, AinvD, c_weights = self.mu2, self.Q, self.AinvD, self.c_weights
-        multiply, subtract, dot = np.multiply, np.subtract, np.dot
+        multiply, subtract = np.multiply, np.subtract
         b, c = self.work
         for V, d, z, q, F, d_next, V_next in levels:
             integral(V, z)
             evaluate(z, q)
             multiply(mu2, U, b)
             subtract(F, b, d_next)
-            dot(q, c_weights, c)  # c_n lam^2
+            q.dot(c_weights, c)  # c_n lam^2
             subtract(Q, c, b)
             b *= d
             d_next += b
