@@ -388,12 +388,13 @@ class _SineScheme:
         raises does so after its level's tuple was taken from ``levels``.
 
         The per-level work is the numpy calls alone: the scheme's arrays,
-        the law and the ufuncs are bound once per call, ``out`` is passed
-        by position and the products are taken by ``ndarray.dot`` (np.dot's
-        routine without its dispatch)."""
+        the law and the ufuncs are bound once per call, each ufunc is
+        called with ``out`` by position (cheaper than an in-place operator)
+        and the products are taken by ``ndarray.dot`` (np.dot's routine
+        without its dispatch)."""
         integral, evaluate = self.integral, law.evaluate
         mu2, Q, AinvD, c_weights = self.mu2, self.Q, self.AinvD, self.c_weights
-        multiply, subtract = np.multiply, np.subtract
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         b, c = self.work
         for V, d, z, q, F, d_next, V_next in levels:
             integral(V, z)
@@ -402,11 +403,11 @@ class _SineScheme:
             subtract(F, b, d_next)
             q.dot(c_weights, c)  # c_n lam^2
             subtract(Q, c, b)
-            b *= d
-            d_next += b
-            c += Q
-            d_next /= c
-            U += d_next
+            multiply(b, d, b)
+            add(d_next, b, d_next)
+            add(c, Q, c)
+            divide(d_next, c, d_next)
+            add(U, d_next, U)
             multiply(AinvD, U, V_next)
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
