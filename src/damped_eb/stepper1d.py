@@ -460,7 +460,7 @@ def step(
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
     U_next = U.copy()
-    d_next, V_next = np.empty((2, U.size))
+    d_next, V_next = np.empty_like(U), np.empty_like(V)
     F = scheme.lam * scheme.average([f_n]) - scheme.DA * W
     z, q = np.empty((2, 1, 1))  # level n of one grid
     with np.errstate(all="ignore"):  # a failing q_n is raised by the guard

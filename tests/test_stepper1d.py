@@ -430,11 +430,11 @@ def test_block_size_leaves_every_value_unchanged(grids, monkeypatch):
         states = run_batch(problem, grids, tg, on_block=blocks)
         fields = [dataclasses.astuple(state) for state in states]
         results.append((fields, blocks.rows(), len(blocks.parts)))
-    (fields, rows, count), (fields_2, rows_2, count_2) = results
+    (fields, hooks, count), (fields_2, hooks_2, count_2) = results
     assert (count, count_2) == (4, -(-(tg.N + 1) // 2))
     for a, b in zip(fields, fields_2):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert all(np.array_equal(x, y) for x, y in zip(rows, rows_2))
+    assert all(np.array_equal(x, y) for x, y in zip(hooks, hooks_2))
 
 
 @BLOCK_CASES
