@@ -42,10 +42,12 @@ class DampingError(ValueError):
 class DampingLaw:
     """Scalar law P: [0, inf) -> (0, inf).
 
-    The steppers call ``func`` once per step on the ndarray of z, one per
-    grid; it may return a scalar, which holds for every grid.  A ``func``
-    that raises on the array (one written for floats, say) is called per
-    grid on floats instead (:meth:`evaluate`).  ``p0`` is the
+    The steppers write q once per step through :attr:`write`: a named law
+    writes P of the ndarray of z, one per grid, into the output with its
+    own ufuncs; any other calls ``func`` on that array, which may return a
+    scalar that holds for every grid, and a ``func`` that raises on the
+    array (one written for floats, say) is called per grid on floats
+    instead (:meth:`evaluate`).  ``p0`` is the
     claimed positive lower bound of P and ``lipschitz`` the claimed bound on
     P'; either may be None when unknown (they are hypotheses of the
     stability/convergence statements; :func:`validate_law` samples both).
@@ -70,6 +72,13 @@ class DampingLaw:
         """The law's hypothesis on a damping coefficient: q finite and >= floor."""
         return self.floor <= q < math.inf
 
+    @property
+    def write(self) -> Callable[[np.ndarray, np.ndarray], None]:
+        """The map (z, out) that writes q = P(z) per grid into ``out``: the
+        ``into`` of a named law's ``func`` (its ufuncs with ``out``), else
+        :meth:`evaluate`."""
+        return getattr(self.func, "into", self.evaluate)
+
     def evaluate(self, z: np.ndarray, out: np.ndarray) -> None:
         """Write q = P(z) per grid into ``out``: one call of ``func`` on the
         array z or, when that raises, one per grid on floats, with q = nan
@@ -84,19 +93,31 @@ class DampingLaw:
                     out[k] = math.nan
 
 
+def _named(func, into):
+    """``func`` carrying ``into(z, out)``, the same P written into ``out`` by
+    ufuncs, bit for bit (:attr:`DampingLaw.write`)."""
+    func.into = into
+    return func
+
+
 def constant_law(c: float = 1.0) -> DampingLaw:
     """P = c; raises ValueError unless c is finite and >= 0."""
     if not 0.0 <= c < math.inf:
         raise ValueError(f"constant law needs a finite c >= 0, got {c:g}")
-    return DampingLaw(f"constant:{c:g}", lambda z: c, p0=c, lipschitz=0.0)
+    P = _named(lambda z: c, lambda z, out: out.fill(c))
+    return DampingLaw(f"constant:{c:g}", P, p0=c, lipschitz=0.0)
 
 
 def linear_law() -> DampingLaw:
-    return DampingLaw("linear", lambda z: 1.0 + z, p0=1.0, lipschitz=1.0)
+    P = _named(lambda z: 1.0 + z, lambda z, out: np.add(1.0, z, out))
+    return DampingLaw("linear", P, p0=1.0, lipschitz=1.0)
 
 
 def sqrt_law() -> DampingLaw:
-    return DampingLaw("sqrt", lambda z: np.sqrt(1.0 + z), p0=1.0, lipschitz=0.5)
+    P = _named(
+        lambda z: np.sqrt(1.0 + z), lambda z, out: np.sqrt(np.add(1.0, z, out), out)
+    )
+    return DampingLaw("sqrt", P, p0=1.0, lipschitz=0.5)
 
 
 def law_from_spec(spec: str, p0: float | None = None) -> DampingLaw:

@@ -37,8 +37,10 @@ of U/tau^2 down to that size at each step and loses about four digits over
 
 q_n needs no inverse transform either: interior node j has Simpson weight
 h (1 - (-1)^j/3) along each axis, and (-1)^j maps mode k to mode m+1-k,
-so along each axis c -> h (c + flip(c)/3), and ||V||^2 = sum Vh (weighted
-Vh); in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).
+so along each axis c -> h (c + flip(c)/3), and ||V||^2 = Vh . M Vh with M
+the product of these maps; in 1D that is h (Vh.Vh + Vh.Vh[::-1]/3).  M is
+symmetric, so ||V||^2 sums M_ij Vh_i Vh_j over the pairs i <= j where M is
+nonzero (about 1.5 pairs per coefficient in 1D, 2.5 in 2D).
 
 The nodal :func:`step` takes any window: its offset W = V^{n-1} - A^{-1} D
 U^{n-1}, which the second equation carries to V^{n+1}, enters the right
@@ -46,16 +48,17 @@ side as -mu lam Wh and is added to the recovered V^{n+1}.
 
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
-one) on one concatenated coefficient vector, U one running vector.  A step
-takes the same path for any number of grids: the flips by one permutation
-gather per axis and z by one product with per-grid weight rows; one call
-of the law on the array of z; c_n lam^2 by one product of q_n with
-per-grid weight rows; and one elementwise update of the whole batch into
-a row of a history block of delta, V, z and q, every array it writes
-allocated once per run.  The time loop hands the step a block of levels
-per call, as views of the history block's rows taken once per run, so a
-level costs those numpy calls and little else; the nodal step is the
-same call on a block of one level.  A forcing f = g(t) F(x[, y]) is
+one) on one concatenated coefficient vector.  A level takes one fixed
+list of eleven numpy calls (sqrt law) for any dimension and number of
+grids: z by one gather of both factors of every pair, their product and
+one product with per-grid weight rows; q_n by the law's own ufuncs on the
+array of z; Q -+ c_n lam^2 by one product of (q_n, 1) with stacked
+per-grid rows; and the update in four more calls, writing into the rows
+of a history block of (U, delta), the numerator's terms and f, V, z and q,
+every array allocated once per run.  The time loop hands the step a block
+of levels per call, as views of the history block's rows taken once per
+run, so a level costs those numpy calls and little else; the nodal step
+is the same call on a block of one level.  A forcing f = g(t) F(x[, y]) is
 staged: F is averaged and transformed once per grid, g evaluated once on
 the t_n of a block, and one outer product writes lam (A f^n)h into the
 block's rows of f.  A full block passes one damping guard (a failure is
@@ -186,14 +189,14 @@ class _SineScheme:
     beam, of (H, Phi) on a plate.  A step is elementwise on that vector;
     q_n is one scalar per grid, and the per-grid values (z, E, q_n)
     meet the coefficients only through weight matrices built once, so one
-    path serves any number of grids.  :meth:`advance` steps U through a
+    path serves any number of grids.  :meth:`advance` steps through a
     block of levels: per level it takes z_n = ||V^n||^2 and q_n = P(z_n),
     writes delta^n by the increment form of the recurrence on U from U^n,
-    the increment delta^{n-1} = U^n - U^{n-1} and q_n, adds it to U in
-    place and recovers V^{n+1} = A^{-1} D U^{n+1} (module docstring).  A
-    step writes only into arrays allocated once, with the scheme or the run
-    (the law's result aside); transforms run per grid, only at the ends of
-    a run.
+    the increment delta^{n-1} = U^n - U^{n-1} and q_n, then U^{n+1} = U^n +
+    delta^n and V^{n+1} = A^{-1} D U^{n+1} (module docstring), in eleven
+    numpy calls with the sqrt law.  A step writes only into arrays
+    allocated once, with the scheme or the run (:meth:`history`);
+    transforms run per grid, only at the ends of a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -209,44 +212,70 @@ class _SineScheme:
         starts = ends - sizes
         self.blocks = [slice(a, b) for a, b in zip(starts, ends)]
         cell = np.array([g.cell for g in grids])
-        # z's flip c -> flip(c) along each axis of every grid, as one
-        # permutation of the whole vector per axis; owner is the grid of each
-        # coefficient.
-        self.owner = np.repeat(np.arange(len(grids)), sizes)
-        index = [np.arange(lam.size).reshape(lam.shape) for lam in lams]
-        flips = [
-            np.concatenate(
-                [a + np.flip(i, axis).ravel() for a, i in zip(starts, index)]
-            )
-            for axis in range(-1, -1 - len(self.shapes[0]), -1)
-        ]
         lam = np.concatenate([x.ravel() for x in lams])
         mu = np.concatenate([x.ravel() for x in mus])
         self.size = lam.size
         self.lam = lam
         self.lam2 = lam * lam
-        self.mu2 = mu * mu
         self.DA = mu * lam  # symbol of D A
         self.AinvD = mu / lam  # symbol of A^{-1} D
-        self.Q = self.lam2 / (tau * tau) + 0.5 * self.mu2
+        Q = self.lam2 / (tau * tau) + 0.5 * mu * mu
         # Per-grid and per-coefficient values meet only in products with one
-        # row (z, c_n lam^2) or column (E^2) of weights per grid, zero
-        # off its block: cell for z, lam2/(2 tau) for
-        # c_n lam^2 = q_n lam2/(2 tau), and
-        # cell*lam2/2*((2/tau^2) delta^2 + Vh^2 + Vh-^2) for E^2.  One term of
-        # each sum is nonzero and q_n is finite, so spreading q_n is exact.
-        owner, k = self.owner, np.arange(lam.size)
-        self.z_weights = np.zeros((len(grids), lam.size))
-        self.z_weights[owner, k] = cell[owner]
-        self.c_weights = np.zeros((len(grids), lam.size))
-        self.c_weights[owner, k] = self.lam2 / (2.0 * tau)
+        # row (z, the update's coefficients) or column (E^2) of weights per
+        # grid, zero off its block.  One term of each sum is nonzero and q_n
+        # is finite, so spreading q_n is exact.
+        #
+        # z = Vh . M Vh per grid with M = cell * (I + F/3) along each axis, F
+        # the flip (module docstring): a sum over the copies of V flipped
+        # along each subset of the axes, weighted 3^-(axes flipped).  M is
+        # symmetric, so z sums M_ij V_i V_j over the pairs i <= j where M is
+        # nonzero, once on the diagonal and twice off it: one gather of both
+        # factors of every pair (row 0 the i, row 1 the j), one product of
+        # the rows and one with a weight row per grid.
+        self.owner = owner = np.repeat(np.arange(len(grids)), sizes)
+        k = np.arange(lam.size)
+        copies = [[np.arange(x.size).reshape(x.shape) for x in lams]]
+        for axis in range(-1, -1 - len(self.shapes[0]), -1):
+            copies += [[np.flip(i, axis) for i in copy] for copy in copies]
+        third = 1.0 / 3.0  # Simpson's weight of a flipped axis
+        flip_weights = [1.0, third]
+        if len(copies) == 4:  # flipped along the last axis, the first, both
+            flip_weights = [1.0, third, third, third * third]
+        # the terms V_i V_j of every copy, j = the copy's index at i
+        j = np.concatenate(
+            [np.concatenate([a + i.ravel() for a, i in zip(starts, c)]) for c in copies]
+        )
+        i = np.tile(k, len(copies))
+        pairs, term_pair = np.unique(
+            np.minimum(i, j) * lam.size + np.maximum(i, j), return_inverse=True
+        )
+        M = np.bincount(term_pair, np.repeat(flip_weights, lam.size))
+        self.gather = np.array(np.divmod(pairs, lam.size))
+        grid = owner[self.gather[0]]
+        self.z_weights = np.zeros((len(grids), pairs.size))
+        self.z_weights[grid, np.arange(pairs.size)] = cell[grid] * M
+        self.cell_weights = np.zeros((len(grids), lam.size))
+        self.cell_weights[owner, k] = cell[owner]
+        # The update's coefficients Q -+ c_n lam^2, c_n lam^2 = q_n lam2/(2 tau),
+        # as a product of (q_1, ..., q_G, 1) with `stack`: per grid, each
+        # part's sign times lam2/(2 tau) on the grid's block; last, Q.
+        stack = np.zeros((len(grids) + 1, 2, lam.size))
+        for p, (constant, sign) in enumerate([(Q, -1.0), (Q, 1.0)]):
+            stack[owner, p, k] = sign * self.lam2 / (2.0 * tau)
+            stack[-1, p] = constant
+        self.stack = stack.reshape(len(grids) + 1, -1)
         self.V_weights = np.zeros((lam.size, len(grids)))
         self.V_weights[k, owner] = 0.5 * cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
-        # the step's scratch: two coefficient vectors; integral gathers each
-        # flip into one of them
-        self.work = np.empty((2, lam.size))
-        self.gathers = list(zip(flips, self.work))
+        # the step's scratch: the factors of z's pairs, and the update's
+        # coefficients -mu^2, Q - c_n lam^2 (the `parts` that multiply U^n and
+        # delta^{n-1}) and Q + c_n lam^2 (`plus`), the last two written by
+        # the product with `stack` (into `Q_pm`)
+        self.factors = np.empty(self.gather.shape)
+        coef = np.empty((3, lam.size))
+        coef[0] = -mu * mu
+        self.parts, self.plus, self.Q_pm = coef[:2], coef[2], coef[1:].reshape(-1)
+        self.ones = np.ones(3)
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -296,17 +325,29 @@ class _SineScheme:
         return [StepperState(n, *f, q_i) for f, q_i in zip(fields, q.tolist())]
 
     def integral(self, V: np.ndarray, z: np.ndarray) -> None:
-        """Writes z = ||V||^2 per grid into ``z``, where c -> c + flip(c)/3
-        along each axis."""
-        w = V
-        for flip, out in self.gathers:
-            # (mode="raise" would buffer the gather; the index is valid)
-            w.take(flip, None, out, "wrap")
-            out *= 1.0 / 3.0
-            out += w
-            w = out
-        w *= V
-        self.z_weights.dot(w, z)
+        """Writes z = ||V||^2 per grid into ``z``: one gather of both factors
+        of each pair, one product of the factors and one with the weight
+        rows."""
+        # (mode="raise" would buffer the gather; the index is valid)
+        V.take(self.gather, None, self.factors, "wrap")
+        np.multiply(self.factors[0], self.factors[1], self.factors[0])
+        self.z_weights.dot(self.factors[0], z)
+
+    def history(self, rows: int):
+        """Rows 0 .. rows of a run's levels and the tuples of :meth:`advance`
+        on them: (X, T, V, Z, Q, steps).  The step from row j, at level n,
+        reads X[j] = (U^n, delta^{n-1}), T[j, 2] = lam (A f^n)h and V[j] = V^n;
+        it writes z_n and q_n per grid into Z[j + 1] and Q[j + 1, :-1] (Q's
+        last column is 1), the numerator's other two terms into T[j, :2], and
+        (U^{n+1}, delta^n) into X[j + 1] and V^{n+1} into V[j + 1]."""
+        X = np.zeros((rows + 1, 2, self.size))
+        T = np.zeros((rows + 1, 3, self.size))
+        V = np.zeros((rows + 1, self.size))
+        Z = np.zeros((rows + 1, len(self.grids)))
+        Q = np.ones((rows + 1, len(self.grids) + 1))
+        U, D = X[:, 0], X[:, 1]
+        levels = V, X, T[:, :2], T, Z[1:], Q[1:, :-1], Q[1:], U, D[1:], U[1:], V[1:]
+        return X, T, V, Z, Q, list(zip(*levels))
 
     def forcing(self, f):
         """The map (n, rows, norms=None) that writes the coefficients of
@@ -369,7 +410,7 @@ class _SineScheme:
         U0 = self.initial(problem, "u0")
         V0 = self.AinvD * U0
         self.integral(V0, z0)
-        problem.law.evaluate(z0, q0)
+        problem.law.write(z0, q0)
         bilap = self.AinvD * V0
         u1 = self.initial(problem, "u1")
         u2 = -q0[self.owner] * u1 - bilap + Af_hat / self.lam
@@ -378,37 +419,49 @@ class _SineScheme:
         window = (U0, U1, V0, self.AinvD * U1)
         return window, d
 
-    def advance(self, U, law, levels) -> None:
-        """Steps U in place through ``levels``, an iterable of one tuple of
-        rows (V^n, delta^{n-1}, z_n, q_n, F, delta^n, V^{n+1}) per level,
-        F holding the coefficients of lam (A f^n)h: per level, writes
-        z_n = ||V^n||^2 (:meth:`integral`) and q_n = P(z_n)
-        (``law.evaluate``) per grid, then delta^n and V^{n+1}, and adds
-        delta^n to U.  Unchecked: the caller guards z and q.  A law that
-        raises does so after its level's tuple was taken from ``levels``.
+    def advance(self, law, levels) -> None:
+        """Steps through ``levels``, an iterable of one tuple of rows
+        (V^n, X^n, P^n, T^n, z_n, q_n, (q_n, 1), U^n, delta^n, U^{n+1}, V^{n+1})
+        per level (:meth:`history`), X^n holding (U^n, delta^{n-1}) and T^n the
+        scratch P^n of two terms and lam (A f^n)h: per level, writes z_n =
+        ||V^n||^2 (:meth:`integral`) and q_n = P(z_n) (``law.write``) per grid,
+        then delta^n, U^{n+1} = U^n + delta^n and V^{n+1}.  Unchecked: the
+        caller guards z and q.  A law that raises does so after its level's
+        tuple was taken from ``levels``.
 
-        The per-level work is the numpy calls alone: the scheme's arrays,
-        the law and the ufuncs are bound once per call, each ufunc is
-        called with ``out`` by position (cheaper than an in-place operator)
-        and the products are taken by ``ndarray.dot`` (np.dot's routine
-        without its dispatch)."""
-        integral, evaluate = self.integral, law.evaluate
-        mu2, Q, AinvD, c_weights = self.mu2, self.Q, self.AinvD, self.c_weights
-        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        b, c = self.work
-        for V, d, z, q, F, d_next, V_next in levels:
-            integral(V, z)
-            evaluate(z, q)
-            multiply(mu2, U, b)
-            subtract(F, b, d_next)
-            q.dot(c_weights, c)  # c_n lam^2
-            subtract(Q, c, b)
-            multiply(b, d, b)
-            add(d_next, b, d_next)
-            add(c, Q, c)
-            divide(d_next, c, d_next)
-            add(U, d_next, U)
-            multiply(AinvD, U, V_next)
+        A level is one fixed list of numpy calls, for any dimension and number
+        of grids: three for z (those of :meth:`integral`, inlined, as a call
+        per level would add about 8% to a beam level), the law's (two for
+        sqrt(1 + z), one for 1 + z) and six for the update:
+
+            (q_n, 1) . stack   -> Q - c_n lam^2, Q + c_n lam^2
+            (-mu^2, Q - c_n lam^2) * X^n
+                               -> P^n = (-mu^2 U^n, (Q - c_n lam^2) delta^{n-1})
+            (1, 1, 1) . T^n    -> the numerator, into delta^n
+            delta^n / (Q + c_n lam^2),  U^n + delta^n,  A^{-1} D U^{n+1};
+
+        eleven with the sqrt law.  The scheme's arrays, the law and the ufuncs
+        are bound once per call, each ufunc is called with ``out`` by position
+        (cheaper than an in-place operator) and the products are taken by
+        ``ndarray.dot`` (np.dot's routine without its dispatch)."""
+        gather, factors, (f_i, f_j), z_weights = (
+            self.gather, self.factors, self.factors, self.z_weights
+        )
+        write = law.write
+        stack, Q_pm, parts, plus = self.stack, self.Q_pm, self.parts, self.plus
+        ones, AinvD = self.ones, self.AinvD
+        add, multiply, divide = np.add, np.multiply, np.divide
+        for V, X, P, T, z, q, q1, U, d_next, U_next, V_next in levels:
+            V.take(gather, None, factors, "wrap")
+            multiply(f_i, f_j, f_i)
+            z_weights.dot(f_i, z)
+            write(z, q)
+            q1.dot(stack, Q_pm)
+            multiply(parts, X, P)
+            ones.dot(T, d_next)
+            divide(d_next, plus, d_next)
+            add(U, d_next, U_next)
+            multiply(AinvD, U_next, V_next)
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
         """E^2 per grid (columns) of each window (delta^k, V^k, V^{k+1}),
@@ -424,7 +477,7 @@ class _SineScheme:
         s = D[1:] + D[:-1]
         As2 = (s * s) @ self.V_weights  # ||A s||^2 / 2
         As2 *= q / self.tau
-        As2 -= (F * s) @ self.z_weights.T  # (A f^n, A s)
+        As2 -= (F * s) @ self.cell_weights.T  # (A f^n, A s)
         return As2 + np.diff(E2, axis=0, prepend=E2_prev[None])
 
 
@@ -459,13 +512,14 @@ def step(
     scheme = _nodal_scheme(state.U_curr.shape, tau)
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
-    U_next = U.copy()
-    d_next, V_next = np.empty_like(U), np.empty_like(V)
     F = scheme.lam * scheme.average([f_n]) - scheme.DA * W
-    z, q = np.empty((2, 1, 1))  # level n of one grid
+    X, T, Vs, Z, Q, steps = scheme.history(1)  # level n in row 0 of one grid
+    X[0], T[0, 2], Vs[0] = (U, U - U_prev), F, V
     with np.errstate(all="ignore"):  # a failing q_n is raised by the guard
-        scheme.advance(U_next, law, [(V, U - U_prev, z[0], q[0], F, d_next, V_next)])
-    damping_mod.check_levels(law, z, q, state.n, tau, scheme.grids)
+        scheme.advance(law, steps)
+    q = Q[1:, :-1]
+    damping_mod.check_levels(law, Z[1:], q, state.n, tau, scheme.grids)
+    U_next, V_next = X[1, 0], Vs[1]
     V_next += W
     ((U_new, V_new),) = scheme.nodal(np.stack((U_next, V_next)))
     return StepperState(state.n + 1, state.U_curr, U_new, state.V_curr, V_new, q.item())
@@ -505,29 +559,29 @@ def run_batch(
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
-    # History of delta, V, lam (A f^n)h, z_n and q_n in blocks of `rows`
-    # windows, window i being (D[i], V[i - 1], V[i]): row 0 carries delta^{n-1}
-    # and V^n in, the step that writes D[i] reads F[i] (staged at the block's
-    # start) and writes its z_n and q_n into Z[i] and Q[i]; a full block is
-    # checked by one guard.  For the hook, B[i] holds ||f^n||, then the bound,
-    # and E2[i] E_n^2, row 0 carrying the E^2 of the level before the block.
+    # History of the levels in blocks of `rows` windows (:meth:`_SineScheme.
+    # history`), window i being (D[i], V[i - 1], V[i]): row 0 carries U^n,
+    # delta^{n-1} and V^n in, the step from row i - 1 reads F[i - 1] (staged
+    # at the block's start) and writes z_n and q_n into Z[i] and q[i]; a full
+    # block is checked by one guard.  For the hook, B[i] holds ||f^n||, then
+    # the bound, and E2[i] E_n^2, row 0 carrying the E^2 of the level before
+    # the block.
     rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
-    D, V, F = np.zeros((3, rows + 1, scheme.size))
-    Z, Q, E2, B = np.zeros((4, rows + 1, len(grids)))
-    # the rows of :meth:`_SineScheme.advance`, views taken once: the step
-    # from row j writes row j + 1
-    steps = list(zip(V, D, Z[1:], Q[1:], F[1:], D[1:], V[1:]))
+    X, T, V, Z, Q, steps = scheme.history(rows)
+    U, D, F = X[:, 0], X[:, 1], T[:, 2]
+    q = Q[:, :-1]
+    E2, B = np.zeros((2, rows + 1, len(grids)))
     E0, total = np.zeros((2, len(grids)))  # E^0, and sum ||f^j|| before the block
 
     def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
-        damping_mod.check_levels(law, Z[1 : m + 1], Q[1 : m + 1], n0, tau, grids)
+        damping_mod.check_levels(law, Z[1 : m + 1], q[1 : m + 1], n0, tau, grids)
         if on_block is None:
             return
         E2[1 : m + 1] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
         if n0 == 0:  # level 0: no step before it
             E2[0] = E2[1]
             np.sqrt(E2[1], out=E0)
-        parts = D[: m + 1], F[1 : m + 1], Q[1 : m + 1]
+        parts = D[: m + 1], F[:m], q[1 : m + 1]
         defect = scheme.balance(E2[0], E2[1 : m + 1], *parts)
         bound = B[1 : m + 1]  # ||f^n||, 0 at n = 0
         bound[0] += total
@@ -536,23 +590,23 @@ def run_batch(
         bound *= 2.0 * tau
         bound += E0
         E2[0] = E2[m]
-        on_block(n0, Q[1 : m + 1], Z[1 : m + 1], E2[1 : m + 1], defect, bound)
+        on_block(n0, q[1 : m + 1], Z[1 : m + 1], E2[1 : m + 1], defect, bound)
 
     # a failing level (or an overflow) is raised by the guard as its block
     # closes; silence the warnings of the levels after it, thrown away then
     with np.errstate(all="ignore"):
         force = scheme.forcing(problem.f)
-        (_, U, V[0], V[1]), D[1] = scheme.start(problem, Z[1], Q[1])
+        (_, U[1], V[0], V[1]), D[1] = scheme.start(problem, Z[1], q[1])
         D[0] = -D[1]  # level 0: s = f = 0, no defect
         n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1, unguarded
         try:
             while True:
                 m = min(rows, N + 1 - n0)  # the block's levels, in rows 1 .. m
-                new = slice(i + 1, m + 1)  # the rows the block's steps write
-                force(n0 + i, F[new], None if on_block is None else B[new])
+                # the block's steps read F[i : m] and write rows i + 1 .. m
+                force(n0 + i, F[i:m], None if on_block is None else B[i + 1 : m + 1])
                 left = iter(steps[i:m])
                 try:
-                    scheme.advance(U, law, left)
+                    scheme.advance(law, left)
                 except Exception:  # from the law, at the level of the last row taken
                     i = m - 1 - operator.length_hint(left)
                     raise
@@ -560,16 +614,16 @@ def run_batch(
                 close(n0, m)
                 if n0 + m > N:
                     break
-                D[0], V[0] = D[m], V[m]
+                X[0], V[0] = X[m], V[m]
                 n0 += m
         except damping_mod.DampingError:  # from the guard of a closing block
             raise
         except Exception:  # from a law, forcing or hook: name an earlier failure first
             if i:
-                levels = Z[1 : i + 1], Q[1 : i + 1]
+                levels = Z[1 : i + 1], q[1 : i + 1]
                 damping_mod.check_levels(law, *levels, n0, tau, grids)
             raise
-    return scheme.states(N + 1, (U - D[m], U, V[m - 1], V[m]), Q[m])
+    return scheme.states(N + 1, (U[m] - D[m], U[m], V[m - 1], V[m]), q[m])
 
 
 def run(

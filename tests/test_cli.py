@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -331,6 +332,44 @@ def test_import_leaves_scipy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == b"False"
+
+
+def fresh_process(code: str, blocked=()) -> str:
+    """The stdout of ``code`` run in a new interpreter importing this
+    checkout's package, with the modules ``blocked`` made unimportable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    block = "".join(f"sys.modules[{name!r}] = None\n" for name in blocked)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + block + code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.decode()
+
+
+@pytest.mark.parametrize(
+    "blocked", [(), ("_sha2", "_sha256")], ids=["builtin-sha256", "hashlib-fallback"]
+)
+def test_config_digest_is_the_sha256_of_the_file_without_openssl(tmp_path, blocked):
+    # a command takes the digest from the interpreter's own SHA-256, so that
+    # it never loads hashlib's OpenSSL module; without one it falls back to
+    # hashlib, with the same digest
+    configs = sorted(Path(resources.files("damped_eb") / "configs").glob("*.cfg"))
+    code = (
+        "from damped_eb.cli import execute, load_config\n"
+        f"for k, path in enumerate({[str(p) for p in configs]!r}):\n"
+        "    cfg = load_config(path, command='validate-law')\n"
+        f"    assert execute(cfg, out_dir=f'{tmp_path}/{{k}}') == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    loaded = fresh_process(code, blocked).splitlines()[-1]
+    assert loaded == str(bool(blocked))  # hashlib only as the fallback
+    for k, path in enumerate(configs):
+        header = (tmp_path / str(k) / "report.csv").read_text().splitlines()[0]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert header == f"# config sha256={digest} profile=paper"
 
 
 def test_main_rejects_bad_config(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from damped_eb.stepper2d import Problem2D, energy2d, step2d
 
 from oracles import (
     block_step_1d,
+    block_step_2d,
     dense_compact,
     dense_H,
     dense_Phi,
@@ -443,10 +445,10 @@ def test_run_batch_advances_once_per_block(grids, monkeypatch):
     calls = []
     advance = _SineScheme.advance
 
-    def counted(self, U, law, levels):
+    def counted(self, law, levels):
         levels = list(levels)
         calls.append(len(levels))
-        advance(self, U, law, levels)
+        advance(self, law, levels)
 
     monkeypatch.setattr(_SineScheme, "advance", counted)
     rows = block_rows(grids)
@@ -694,6 +696,104 @@ def forced_batch(dim, f="t^3*sin(pi*x)", law=None):
     zero = expr.parse("0")
     f = expr.parse(f) if isinstance(f, str) else f
     return problem_cls(expr.parse(u0), zero, f, law or damping.sqrt_law(), 1.0)
+
+
+Z_BATCHES = {
+    "1d-batch-2..16": [Grid1D(J) for J in range(2, 17)],
+    "2d-4x6-8x8": [Grid2D(4, 6), Grid2D(8, 8)],
+}
+
+
+def simpson_of_square(g, V):
+    """The composite Simpson integral of V^2 over the grid g."""
+    if len(g.shape) == 1:
+        return damping.simpson_1d(V * V, g.h)
+    return damping.simpson_2d(V * V, g.h1, g.h2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("name", list(Z_BATCHES))
+def test_hook_z_and_q_are_simpson_integrals_of_the_nodal_V(name, seed):
+    # z_n and q_n that the hook hands over at the first and the last level
+    # are the Simpson integral of the nodal V^n squared and P of it, on
+    # random interior data, whose flip cross terms are nonzero: a wrong
+    # flip weight (1/3), cross weight (1/9) or flip composition would show
+    grids = Z_BATCHES[name]
+    rng = np.random.default_rng(seed)
+    if len(grids[0].shape) == 1:
+        problem_cls, data = Problem1D, [random_gridfn_1d(rng, g.J) for g in grids]
+    else:
+        problem_cls = Problem2D
+        data = [random_gridfn_2d(rng, g.J1, g.J2) for g in grids]
+    table = {u.shape: u for u in data}
+
+    def u0(*coords):  # the callable (x, t) resp. (x, y, t) of each grid's data
+        return table[np.broadcast(*coords[:-1]).shape]
+
+    zero, law = expr.parse("0"), damping.sqrt_law()
+    problem = problem_cls(u0, zero, zero, law, 1.0)
+    tg = TimeGrid(3, 1.0)
+    blocks = Blocks()
+    finals = run_batch(problem, grids, tg, on_block=blocks)
+    q, z = blocks.rows()[:2]
+    for k, (g, final) in enumerate(zip(grids, finals)):
+        V0 = init(problem, g, tg).V_prev
+        for n, V in ((0, V0), (tg.N, final.V_prev)):
+            ref = simpson_of_square(g, V)
+            assert abs(z[n, k] - ref) <= 1e-12 * np.max(z[:, k])
+            assert q[n, k] == pytest.approx(law(ref), rel=1e-12)
+
+
+def closed_compact(m: int) -> np.ndarray:
+    """The (1, 10, 1)/12 average over all m + 2 nodes, interior rows only."""
+    A = np.zeros((m, m + 2))
+    for j in range(m):
+        A[j, j : j + 3] = (1.0, 10.0, 1.0)
+    return A / 12.0
+
+
+def closed_right_side(g, f):
+    """Interior values whose interior average (the dense oracles' A f) is
+    the closed-grid average of the nodal f, boundary values included."""
+    ms = [n - 2 for n in g.shape]
+    closed = functools.reduce(np.kron, [closed_compact(m) for m in ms])
+    interior = functools.reduce(np.kron, [dense_compact(m) for m in ms])
+    out = np.zeros(g.shape)
+    out[g.interior] = np.linalg.solve(interior, closed @ f.ravel()).reshape(ms)
+    return out
+
+
+@pytest.mark.parametrize(
+    "g,f",
+    [(Grid1D(5), "t*exp(x)"), (Grid2D(3, 4), "t*exp(x + 2*y)")],
+    ids=["1d", "2d"],
+)
+def test_steps_match_dense_block_oracle_with_the_closed_grid_right_side(g, f):
+    # f does not vanish on the boundary, and the right side averages it over
+    # the closed grid: the nodal step and a run both match the monolithic
+    # dense block system whose right side is that average
+    dim = len(g.shape)
+    problem = forced_batch(dim, f, damping.sqrt_law())
+    tg = TimeGrid(6, 1.0)
+    st = oracle = init(problem, g, tg)
+    for n in range(1, tg.N + 1):
+        f_n = mesh.evaluate(g, problem.f, tg.t(n))
+        assert np.max(np.abs(f_n[0])) > 0.1 * np.max(np.abs(f_n))
+        q = damping.q_coefficient(oracle.V_curr, problem.law)
+        if dim == 1:
+            args = (closed_right_side(g, f_n), tg.tau, q, g.h)
+            U_ref, V_ref = block_step_1d(*dataclasses.astuple(oracle)[1:5], *args)
+        else:
+            args = (closed_right_side(g, f_n), tg.tau, q, g.h1, g.h2)
+            U_ref, V_ref = block_step_2d(*dataclasses.astuple(oracle)[1:5], *args)
+        st = DIMENSIONS[dim][0](st, f_n, tg.tau, problem.law)
+        oracle = StepperState(n + 1, oracle.U_curr, U_ref, oracle.V_curr, V_ref, q)
+        for a, b in ((st.U_curr, U_ref), (st.V_curr, V_ref)):
+            assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
+    final, _ = run(problem, g, tg)
+    for a, b in ((final.U_curr, oracle.U_curr), (final.V_curr, oracle.V_curr)):
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])

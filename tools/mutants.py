@@ -42,15 +42,20 @@ class Mutant:
 
 MUTANTS = [
     Mutant("law at 2z", "damping.py",
-           "out[...] = self.func(z)", "out[...] = self.func(2.0 * z)"),
+           "np.sqrt(np.add(1.0, z, out), out)",
+           "np.sqrt(np.add(1.0, 2.0 * z, out), out)"),
     Mutant("Simpson flip weight 1/2", "stepper1d.py",
-           "out *= 1.0 / 3.0", "out *= 1.0 / 2.0"),
+           "third = 1.0 / 3.0", "third = 1.0 / 2.0"),
+    Mutant("2D cross weight 1/9 -> 1/3", "stepper1d.py",
+           "third, third, third * third]", "third, third, third]"),
     Mutant("startup tau^2 for tau^2/2", "stepper1d.py",
            "0.5 * tau * tau * u2", "tau * tau * u2"),
     Mutant("sign of Q - c_n lam^2", "stepper1d.py",
-           "subtract(Q, c, b)", "subtract(c, Q, b)"),
+           "(Q, -1.0)", "(-Q, 1.0)"),
+    Mutant("stacked Q + c row built as Q - c", "stepper1d.py",
+           "(Q, 1.0)]", "(Q, -1.0)]"),
     Mutant("a level's z and q rows shifted by one", "stepper1d.py",
-           "zip(V, D, Z[1:], Q[1:],", "zip(V, D, Z[:-1], Q[:-1],"),
+           "Z[1:], Q[1:, :-1], Q[1:],", "Z[:-1], Q[:-1, :-1], Q[:-1],"),
     Mutant("forcing one step late", "stepper1d.py",
            "expr_mod.evaluate(g, t=times)", "expr_mod.evaluate(g, t=times - self.tau)"),
     Mutant("guard's one test without p0", "damping.py",
