@@ -225,13 +225,12 @@ class _SineScheme:
         # grid, zero off its block.  One term of each sum is nonzero and q_n
         # is finite, so spreading q_n is exact.
         #
-        # z = Vh . M Vh per grid with M = cell * (I + F/3) along each axis, F
-        # the flip (module docstring): a sum over the copies of V flipped
-        # along each subset of the axes, weighted 3^-(axes flipped).  M is
-        # symmetric, so z sums M_ij V_i V_j over the pairs i <= j where M is
-        # nonzero, once on the diagonal and twice off it: one gather of both
-        # factors of every pair (row 0 the i, row 1 the j), one product of
-        # the rows and one with a weight row per grid.
+        # z = Vh . M Vh per grid, M the sum over the copies of V flipped
+        # along each subset of the axes weighted cell * 3^-(axes flipped)
+        # (module docstring).  M is symmetric, so z sums M_kk V_k^2 and, for
+        # each flip, 2 M_kj V_k V_j over its pairs k < j: one gather of both
+        # factors of every term (row 0 the k, row 1 the j), one product of the
+        # rows and one with a weight row per grid.
         self.owner = owner = np.repeat(np.arange(len(grids)), sizes)
         k = np.arange(lam.size)
         copies = [[np.arange(x.size).reshape(x.shape) for x in lams]]
@@ -241,19 +240,20 @@ class _SineScheme:
         flip_weights = [1.0, third]
         if len(copies) == 4:  # flipped along the last axis, the first, both
             flip_weights = [1.0, third, third, third * third]
-        # the terms V_i V_j of every copy, j = the copy's index at i
-        j = np.concatenate(
-            [np.concatenate([a + i.ravel() for a, i in zip(starts, c)]) for c in copies]
-        )
-        i = np.tile(k, len(copies))
-        pairs, term_pair = np.unique(
-            np.minimum(i, j) * lam.size + np.maximum(i, j), return_inverse=True
-        )
-        M = np.bincount(term_pair, np.repeat(flip_weights, lam.size))
-        self.gather = np.array(np.divmod(pairs, lam.size))
+        diagonal = np.zeros(lam.size)
+        i, j, M = [k], [k], [diagonal]
+        for copy, w in zip(copies, flip_weights):
+            flipped = np.concatenate([a + c.ravel() for a, c in zip(starts, copy)])
+            diagonal += w * (flipped == k)
+            pair = k < flipped
+            i.append(k[pair])
+            j.append(flipped[pair])
+            M.append(np.full(i[-1].size, 2.0 * w))
+        self.gather = np.array([np.concatenate(i), np.concatenate(j)])
+        M = np.concatenate(M)
         grid = owner[self.gather[0]]
-        self.z_weights = np.zeros((len(grids), pairs.size))
-        self.z_weights[grid, np.arange(pairs.size)] = cell[grid] * M
+        self.z_weights = np.zeros((len(grids), M.size))
+        self.z_weights[grid, np.arange(M.size)] = cell[grid] * M
         self.cell_weights = np.zeros((len(grids), lam.size))
         self.cell_weights[owner, k] = cell[owner]
         # The update's coefficients Q -+ c_n lam^2, c_n lam^2 = q_n lam2/(2 tau),
