@@ -53,7 +53,7 @@ list of eleven numpy calls (sqrt law) for any dimension and number of
 grids: z by one gather of both factors of every pair, their product and
 one product with per-grid weight rows; q_n by the law's own ufuncs on the
 array of z; Q -+ c_n lam^2 by one product of (q_n, 1) with stacked
-per-grid rows; and the update in four more calls, writing into the rows
+per-grid rows; and the update and V in five more calls, writing into the rows
 of a history block of (U, delta), the numerator's terms and f, V, z and q,
 every array allocated once per run.  The time loop hands the step a block
 of levels per call, as views of the history block's rows taken once per
