@@ -42,12 +42,12 @@ class DampingError(ValueError):
 class DampingLaw:
     """Scalar law P: [0, inf) -> (0, inf).
 
-    The steppers write q once per step through :attr:`write`: a named law
-    writes P of the ndarray of z, one per grid, into the output with its
-    own ufuncs; any other calls ``func`` on that array, which may return a
-    scalar that holds for every grid, and a ``func`` that raises on the
-    array (one written for floats, say) is called per grid on floats
-    instead (:meth:`evaluate`).  ``p0`` is the
+    A named law is P = phi(a + b z) (:attr:`fold`), and the steppers form
+    a + b z per grid in the product that sums z, leaving only phi to call;
+    for any other law they call ``func`` once per step on the ndarray of z,
+    one per grid, which may return a scalar that holds for every grid, and
+    a ``func`` that raises on the array (one written for floats, say) is
+    called per grid on floats instead (:meth:`evaluate`).  ``p0`` is the
     claimed positive lower bound of P and ``lipschitz`` the claimed bound on
     P'; either may be None when unknown (they are hypotheses of the
     stability/convergence statements; :func:`validate_law` samples both).
@@ -73,11 +73,10 @@ class DampingLaw:
         return self.floor <= q < math.inf
 
     @property
-    def write(self) -> Callable[[np.ndarray, np.ndarray], None]:
-        """The map (z, out) that writes q = P(z) per grid into ``out``: the
-        ``into`` of a named law's ``func`` (its ufuncs with ``out``), else
-        :meth:`evaluate`."""
-        return getattr(self.func, "into", self.evaluate)
+    def fold(self) -> tuple[float, float, Callable | None] | None:
+        """(a, b, phi) with P(z) = phi(a + b z) for a named law's ``func``
+        (phi None for the identity), else None."""
+        return getattr(self.func, "fold", None)
 
     def evaluate(self, z: np.ndarray, out: np.ndarray) -> None:
         """Write q = P(z) per grid into ``out``: one call of ``func`` on the
@@ -93,10 +92,9 @@ class DampingLaw:
                     out[k] = math.nan
 
 
-def _named(func, into):
-    """``func`` carrying ``into(z, out)``, the same P written into ``out`` by
-    ufuncs, bit for bit (:attr:`DampingLaw.write`)."""
-    func.into = into
+def _named(func, a: float, b: float, phi=None):
+    """``func`` carrying its form phi(a + b z) as ``fold`` (:attr:`DampingLaw.fold`)."""
+    func.fold = (a, b, phi)
     return func
 
 
@@ -104,19 +102,17 @@ def constant_law(c: float = 1.0) -> DampingLaw:
     """P = c; raises ValueError unless c is finite and >= 0."""
     if not 0.0 <= c < math.inf:
         raise ValueError(f"constant law needs a finite c >= 0, got {c:g}")
-    P = _named(lambda z: c, lambda z, out: out.fill(c))
+    P = _named(lambda z: c, a=c, b=0.0)
     return DampingLaw(f"constant:{c:g}", P, p0=c, lipschitz=0.0)
 
 
 def linear_law() -> DampingLaw:
-    P = _named(lambda z: 1.0 + z, lambda z, out: np.add(1.0, z, out))
+    P = _named(lambda z: 1.0 + z, a=1.0, b=1.0)
     return DampingLaw("linear", P, p0=1.0, lipschitz=1.0)
 
 
 def sqrt_law() -> DampingLaw:
-    P = _named(
-        lambda z: np.sqrt(1.0 + z), lambda z, out: np.sqrt(np.add(1.0, z, out), out)
-    )
+    P = _named(lambda z: np.sqrt(1.0 + z), a=1.0, b=1.0, phi=np.sqrt)
     return DampingLaw("sqrt", P, p0=1.0, lipschitz=0.5)
 
 

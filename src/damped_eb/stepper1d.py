@@ -49,24 +49,28 @@ side as -mu lam Wh and is added to the recovered V^{n+1}.
 A run steps a batch of grids of one dimension with one tau (a spatial
 study steps all its grids in one time loop; a single run is a batch of
 one) on one concatenated coefficient vector.  A level takes one fixed
-list of eleven numpy calls (sqrt law) for any dimension and number of
-grids: z by one gather of both factors of every pair, their product and
-one product with per-grid weight rows; q_n by the law's own ufuncs on the
-array of z; Q -+ c_n lam^2 by one product of (q_n, 1) with stacked
-per-grid rows; and the update and V in five more calls, writing into the rows
-of a history block of (U, delta), the numerator's terms and f, V, z and q,
-every array allocated once per run.  The time loop hands the step a block
-of levels per call, as views of the history block's rows taken once per
-run, so a level costs those numpy calls and little else; the nodal step
-is the same call on a block of one level.  A forcing f = g(t) F(x[, y]) is
-staged: F is averaged and transformed once per grid, g evaluated once on
-the t_n of a block, and one outer product writes lam (A f^n)h into the
-block's rows of f.  A full block passes one damping guard (a failure is
-raised at the end of the block that holds it but names the failing
-level).  For a caller's hook, its energies, energy-balance defects and
-stability bounds are then taken in one pass (its size is a fixed number
-of coefficients, so it stays in cache) and handed over; a run keeps
-nothing whose size grows with N.
+list of nine numpy calls (sqrt law; eight with the linear or constant
+law) for any dimension and number of grids: z = ||A^{-1} D U^n||^2 by one
+gather of both factors of every pair from U^n, their product and one
+product with per-grid weight rows (the symbols of A^{-1} D folded in),
+which also writes a + b z for a named law P = phi(a + b z), so only phi
+is left; Q -+ c_n lam^2 by one product of (q_n, 1) with stacked per-grid
+rows; and the update in five more calls, every array allocated once per
+run.  A forcing f = g(t) F(x[, y]) is staged: F is averaged and
+transformed once per grid, lam (A F)h enters the numerator through the
+level's coefficient row (1, 1, g(t_n)), and g is evaluated once on the
+t_n of a block; any other f is sampled as each level is stepped.  The
+time loop hands the step a block of levels per call, as views taken once
+per run, so a level costs those numpy calls and little else; the nodal
+step is the same call on a block of one level.  A full block passes one
+damping guard (a failure is raised at the end of the block that holds it
+but names the failing level).  A run with a hook keeps a row of U and
+delta per level of a short block: V = A^{-1} D U is formed once per
+block, and the hook's energies, energy-balance defects and stability
+bounds are taken in one pass (its size is a fixed number of
+coefficients, so it stays in cache) and handed over.  A run without one
+steps on a ring of two rows in blocks of a few hundred levels and forms V
+for its final states only.  A run keeps nothing whose size grows with N.
 
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
@@ -121,11 +125,19 @@ __all__ = [
 ]
 
 
-# Coefficients of U (and of V) that one energy block of run_batch holds:
-# 64 kB per array, which stays in cache.  A 1D spatial study J = 2..32
-# (119 coefficients) gets 68 rows per block, a lone 2D J = 32 grid (3,969)
-# the minimum of 2.
+# Coefficients of U that one guard block of a hooked run holds, one row per
+# level for its energy pass: 64 kB per array, which stays in cache.  A 1D
+# spatial study J = 2..32 (119 coefficients) gets 68 rows per block, a lone
+# 2D J = 16 grid (961) 8 and a J = 32 grid (3,969) the floor of 8, as a
+# block's fixed costs outweigh the cache there.  A run without a hook steps
+# on a ring of two rows, so its blocks hold _RING_LEVELS levels of z and q.
 _BLOCK_COEFFICIENTS = 8192
+_RING_LEVELS = 256
+
+
+def _block_levels(size: int, hooked: bool) -> int:
+    """Levels one guard block of a run on ``size`` coefficients holds."""
+    return max(8, _BLOCK_COEFFICIENTS // size) if hooked else _RING_LEVELS
 
 
 class IntegrationError(RuntimeError):
@@ -190,11 +202,11 @@ class _SineScheme:
     q_n is one scalar per grid, and the per-grid values (z, E, q_n)
     meet the coefficients only through weight matrices built once, so one
     path serves any number of grids.  :meth:`advance` steps through a
-    block of levels: per level it takes z_n = ||V^n||^2 and q_n = P(z_n),
-    writes delta^n by the increment form of the recurrence on U from U^n,
-    the increment delta^{n-1} = U^n - U^{n-1} and q_n, then U^{n+1} = U^n +
-    delta^n and V^{n+1} = A^{-1} D U^{n+1} (module docstring), in eleven
-    numpy calls with the sqrt law.  A step writes only into arrays
+    block of levels: per level it takes z_n = ||V^n||^2 from U^n (V^n =
+    A^{-1} D U^n, module docstring) and q_n = P(z_n), then writes delta^n
+    by the increment form of the recurrence on U from U^n, the increment
+    delta^{n-1} = U^n - U^{n-1}, q_n and f^n, and U^{n+1} = U^n + delta^n,
+    in nine numpy calls with the sqrt law.  A step writes only into arrays
     allocated once, with the scheme or the run (:meth:`history`);
     transforms run per grid, only at the ends of a run.
     """
@@ -228,9 +240,12 @@ class _SineScheme:
         # z = Vh . M Vh per grid, M the sum over the copies of V flipped
         # along each subset of the axes weighted cell * 3^-(axes flipped)
         # (module docstring).  M is symmetric, so z sums M_kk V_k^2 and, for
-        # each flip, 2 M_kj V_k V_j over its pairs k < j: one gather of both
-        # factors of every term (row 0 the k, row 1 the j), one product of the
-        # rows and one with a weight row per grid.
+        # each flip, 2 M_kj V_k V_j over its pairs k < j; as Vh = A^{-1} D Uh,
+        # each pair's weight carries the symbols (A^{-1} D)_k (A^{-1} D)_j and
+        # z is read from U: one gather of both factors of every term (the j,
+        # then the k), one product of the two and one with a weight row per
+        # grid, whose last column meets the constant 1 kept after the products
+        # (:meth:`product`).
         self.owner = owner = np.repeat(np.arange(len(grids)), sizes)
         k = np.arange(lam.size)
         copies = [[np.arange(x.size).reshape(x.shape) for x in lams]]
@@ -249,11 +264,12 @@ class _SineScheme:
             i.append(k[pair])
             j.append(flipped[pair])
             M.append(np.full(i[-1].size, 2.0 * w))
-        self.gather = np.array([np.concatenate(i), np.concatenate(j)])
-        M = np.concatenate(M)
-        grid = owner[self.gather[0]]
-        self.z_weights = np.zeros((len(grids), M.size))
-        self.z_weights[grid, np.arange(M.size)] = cell[grid] * M
+        i, j, M = (np.concatenate(x) for x in (i, j, M))
+        self.gather = np.concatenate((j, i))
+        grid = owner[i]
+        self.z_weights = np.zeros((len(grids), M.size + 1))
+        M *= cell[grid] * self.AinvD[i] * self.AinvD[j]
+        self.z_weights[grid, np.arange(M.size)] = M
         self.cell_weights = np.zeros((len(grids), lam.size))
         self.cell_weights[owner, k] = cell[owner]
         # The update's coefficients Q -+ c_n lam^2, c_n lam^2 = q_n lam2/(2 tau),
@@ -267,15 +283,21 @@ class _SineScheme:
         self.V_weights = np.zeros((lam.size, len(grids)))
         self.V_weights[k, owner] = 0.5 * cell[owner] * self.lam2
         self.dU_weights = (2.0 / (tau * tau)) * self.V_weights
-        # the step's scratch: the factors of z's pairs, and the update's
-        # coefficients -mu^2, Q - c_n lam^2 (the `parts` that multiply U^n and
-        # delta^{n-1}) and Q + c_n lam^2 (`plus`), the last two written by
-        # the product with `stack` (into `Q_pm`)
-        self.factors = np.empty(self.gather.shape)
+        # the step's scratch: the factors of z's pairs, the j then the k
+        # (`taken`), the k row becoming their `products`, then a constant 1;
+        # the update's coefficients -mu^2, Q - c_n lam^2 (the `parts` that
+        # multiply U^n and delta^{n-1}) and Q + c_n lam^2 (`plus`), the last two
+        # written by the product with `stack` (into `Q_pm`); and the numerator's
+        # terms T: the two products P, then the level's lam (A F)h
+        factors = np.ones(2 * M.size + 1)
+        self.taken, self.products = factors[:-1], factors[M.size :]
+        self.f_j, self.f_i = factors[: M.size], factors[M.size : -1]
+        self._weights = {}  # the product's rows of each fold (a, b)
         coef = np.empty((3, lam.size))
         coef[0] = -mu * mu
         self.parts, self.plus, self.Q_pm = coef[:2], coef[2], coef[1:].reshape(-1)
-        self.ones = np.ones(3)
+        self.T = np.zeros((3, lam.size))
+        self.P = self.T[:2]
 
     def sine(self, parts: list[np.ndarray]) -> np.ndarray:
         """Coefficient vector of one interior nodal array per grid (leading
@@ -324,43 +346,79 @@ class _SineScheme:
         fields = self.nodal(np.stack(window))
         return [StepperState(n, *f, q_i) for f, q_i in zip(fields, q.tolist())]
 
-    def integral(self, V: np.ndarray, z: np.ndarray) -> None:
-        """Writes z = ||V||^2 per grid into ``z``: one gather of both factors
-        of each pair, one product of the factors and one with the weight
-        rows."""
-        # (mode="raise" would buffer the gather; the index is valid)
-        V.take(self.gather, None, self.factors, "wrap")
-        np.multiply(self.factors[0], self.factors[1], self.factors[0])
-        self.z_weights.dot(self.factors[0], z)
+    def product(self, law: DampingLaw):
+        """(weights, phi, write): z's product for ``law`` and what is left of
+        the law after it.  ``weights.dot`` of the pair products and the
+        constant 1 after them writes (z, a + b z) per grid for a named law
+        P = phi(a + b z) (:attr:`damped_eb.damping.DampingLaw.fold`), then
+        phi (None for the identity) writes q from a + b z; for any other law
+        it writes (z, 0) and ``write`` (:meth:`DampingLaw.evaluate`) writes
+        q = P(z)."""
+        a, b, phi = law.fold or (0.0, 0.0, None)
+        weights = self._weights.get((a, b))
+        if weights is None:
+            weights = np.vstack((self.z_weights, b * self.z_weights))
+            weights[len(self.grids) :, -1] = a
+            self._weights[a, b] = weights
+        return weights, phi, None if law.fold else law.evaluate
 
-    def history(self, rows: int):
-        """Rows 0 .. rows of a run's levels and the tuples of :meth:`advance`
-        on them: (X, T, V, Z, Q, steps).  The step from row j, at level n,
-        reads X[j] = (U^n, delta^{n-1}), T[j, 2] = lam (A f^n)h and V[j] = V^n;
-        it writes z_n and q_n per grid into Z[j + 1] and Q[j + 1, :-1] (Q's
-        last column is 1), the numerator's other two terms into T[j, :2], and
-        (U^{n+1}, delta^n) into X[j + 1] and V^{n+1} into V[j + 1]."""
-        X = np.zeros((rows + 1, 2, self.size))
-        T = np.zeros((rows + 1, 3, self.size))
-        V = np.zeros((rows + 1, self.size))
-        Z = np.zeros((rows + 1, len(self.grids)))
-        Q = np.ones((rows + 1, len(self.grids) + 1))
-        U, D = X[:, 0], X[:, 1]
-        levels = V, X, T[:, :2], T, Z[1:], Q[1:, :-1], Q[1:], U, D[1:], U[1:], V[1:]
-        return X, T, V, Z, Q, list(zip(*levels))
+    def integral(self, U: np.ndarray, law: DampingLaw, out: np.ndarray) -> None:
+        """Writes z = ||A^{-1} D U||^2 and q = P(z) per grid into a row ``out``
+        of R (:meth:`history`): the first calls of a level of :meth:`advance`."""
+        weights, phi, write = self.product(law)
+        g = len(self.grids)
+        z, q = out[:g], out[g : 2 * g]
+        # (mode="raise" would buffer the gather; the index is valid)
+        U.take(self.gather, None, self.taken, "wrap")
+        np.multiply(self.f_i, self.f_j, self.f_i)
+        weights.dot(self.products, out[: 2 * g])
+        if phi is not None:
+            phi(q, q)
+        elif write is not None:
+            write(z, q)
+
+    def history(self, levels: int, hooked: bool):
+        """The rows of a guard block of ``levels`` levels and the tuples of
+        :meth:`advance` on them: (X, C, R, steps).  The step from row j, at
+        level n, reads X[j] = (U^n, delta^{n-1}) and C[j] = (1, 1, g_n), so
+        that C[j] . T adds lam (A f^n)h = g_n lam (A F)h to the numerator; it
+        writes z_n and q_n per grid into R[j + 1] = (z_1..z_G, q_1..q_G, 1) and
+        (U^{n+1}, delta^n) into X[j + 1].  A hooked run keeps a row of X per
+        level for its energy pass; any other run steps on a ring of two rows
+        of X (row j is X[j % 2]), so its memory does not grow with
+        ``levels``."""
+        rows, g = levels + 1, len(self.grids)
+        X = np.zeros((rows if hooked else 2, 2, self.size))
+        C = np.ones((rows, 3))
+        R = np.ones((rows, 2 * g + 1))
+
+        def ring(a):  # the row of ``a`` that rows 0 .. levels view
+            views = list(a)
+            return [views[k % len(views)] for k in range(rows)]
+
+        U, D, Xs = map(ring, (X[:, 0], X[:, 1], X))
+        zq, z, q, q1 = map(list, (R[:, : 2 * g], R[:, :g], R[:, g:-1], R[:, g:]))
+        columns = U, Xs, list(C), zq[1:], z[1:], q[1:], q1[1:], U, D[1:], U[1:]
+        return X, C, R, list(zip(*columns))
 
     def forcing(self, f):
-        """The map (n, rows, norms=None) that writes the coefficients of
-        lam (A f^{n+k})h, f^j = f(., j tau), into rows[k] for each k, and
-        ||f^{n+k}|| per grid (:meth:`sample`) into norms[k] when norms is
-        given (:meth:`start` samples f^0 itself).
+        """The map (n, levels, g, norms=None, rows=None) that serves
+        lam (A f^{n+k})h, f^j = f(., j tau), to the k-th of ``levels`` (tuples
+        of :meth:`advance`) as g[k] times T's last row, and returns the levels
+        to step (``levels`` itself where f is staged).  A hooked run also
+        passes ``norms`` and ``rows``, and gets ||f^{n+k}|| per grid
+        (:meth:`sample`) in norms[k] (:meth:`start` samples f^0 itself) and,
+        where f is sampled, T's last row of level k in rows[k].
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
-        staged: F is sampled and averaged once, g evaluated on the times
-        of a call, and the call is one outer product.  Any other f, an F
-        that leaves its domain, or a call whose times take g out of its
-        domain, is sampled at each time (naming the node where it fails).
+        staged: F is sampled and averaged once, lam (A F)h written into T
+        here, and g evaluated on the times of a call.  Any other f, an F that
+        leaves its domain, or a call whose times take g out of its domain (and
+        each call after it) is sampled: g is 1, and T's last row is written
+        as each level is taken from the returned iterator (naming the node
+        where f fails).
         """
+        T = self.T
         split = expr_mod.split_time(f) if hasattr(f, "_eval") else None
         if split is not None:
             g, F = split
@@ -369,27 +427,33 @@ class _SineScheme:
             except expr_mod.DomainError:
                 split = None
             else:
-                lam_AF = self.lam * AF_hat
+                np.multiply(self.lam, AF_hat, out=T[2])
 
-        def force(n, rows, norms=None):
-            times = np.arange(n, n + len(rows), dtype=float)
+        def force(n, levels, g_n, norms=None, rows=None):
+            nonlocal split
+            times = np.arange(n, n + len(g_n), dtype=float)
             times *= self.tau
             if split is not None:
                 try:
-                    g_n = expr_mod.evaluate(g, t=times) if g else np.ones_like(times)
+                    g_n[...] = expr_mod.evaluate(g, t=times) if g else 1.0
                 except expr_mod.DomainError:
-                    pass  # sample this call's levels, naming the failing node
+                    split = None  # sample from here on, naming the failing node
                 else:
-                    np.multiply(g_n[:, None], lam_AF, out=rows)
                     if norms is not None:
                         np.multiply(g_n[:, None], F_norms, out=norms)
                         np.abs(norms, out=norms)
-                    return
-            for k, row in enumerate(rows):
+                    return levels
+            g_n[...] = 1.0
+            return sampled(levels, times, norms, rows)
+
+        def sampled(levels, times, norms, rows):
+            for k, level in enumerate(levels):
                 Af_hat, f_norms = self.sample(f, times.item(k))
+                np.multiply(self.lam, Af_hat, out=T[2])
                 if norms is not None:
                     norms[k] = f_norms
-                np.multiply(self.lam, Af_hat, out=row)
+                    rows[k] = T[2]
+                yield level
 
         return force
 
@@ -399,69 +463,71 @@ class _SineScheme:
         u = getattr(problem, key)
         return self.sine([mesh.initial(g, u, key)[g.interior] for g in self.grids])
 
-    def start(self, problem, z0, q0):
-        """Startup at n = 1: the window (U^0, U^1, V^0, V^1) and
-        delta^0 = tau u1 + (tau^2/2) u2 with
-        u2 = -q_0 u1 - A^{-1} D V^0 + A^{-1} (A f^0) (each sampled at t = 0;
-        z_0 and q_0 per grid written, unchecked, into z0 and q0).  Raises
-        ValueError on initial data :meth:`initial` rejects."""
-        tau = self.tau
+    def start(self, problem, record: np.ndarray):
+        """Startup at n = 1: (U^0, U^1, delta^0) with delta^0 = tau u1 +
+        (tau^2/2) u2, u2 = -q_0 u1 - A^{-1} D V^0 + A^{-1} (A f^0) (each sampled
+        at t = 0; z_0 and q_0 per grid written, unchecked, into ``record``, a
+        row of R (:meth:`history`)).  Raises ValueError on initial data
+        :meth:`initial` rejects."""
+        tau, g = self.tau, len(self.grids)
         Af_hat, _ = self.sample(problem.f, 0.0)
         U0 = self.initial(problem, "u0")
-        V0 = self.AinvD * U0
-        self.integral(V0, z0)
-        problem.law.write(z0, q0)
-        bilap = self.AinvD * V0
+        self.integral(U0, problem.law, record)
+        q0 = record[g : 2 * g]
+        bilap = self.AinvD * (self.AinvD * U0)
         u1 = self.initial(problem, "u1")
         u2 = -q0[self.owner] * u1 - bilap + Af_hat / self.lam
         d = tau * u1 + 0.5 * tau * tau * u2
-        U1 = U0 + d
-        window = (U0, U1, V0, self.AinvD * U1)
-        return window, d
+        return U0, U0 + d, d
 
     def advance(self, law, levels) -> None:
         """Steps through ``levels``, an iterable of one tuple of rows
-        (V^n, X^n, P^n, T^n, z_n, q_n, (q_n, 1), U^n, delta^n, U^{n+1}, V^{n+1})
-        per level (:meth:`history`), X^n holding (U^n, delta^{n-1}) and T^n the
-        scratch P^n of two terms and lam (A f^n)h: per level, writes z_n =
-        ||V^n||^2 (:meth:`integral`) and q_n = P(z_n) (``law.write``) per grid,
-        then delta^n, U^{n+1} = U^n + delta^n and V^{n+1}.  Unchecked: the
-        caller guards z and q.  A law that raises does so after its level's
-        tuple was taken from ``levels``.
+        (S^n, X^n, c_n, (z_n, q_n), z_n, q_n, (q_n, 1), U^n, delta^n, U^{n+1})
+        per level (:meth:`history`), X^n holding (U^n, delta^{n-1}), c_n the
+        coefficient row (1, 1, g_n) and S^n the row whose A^{-1} D image is V^n
+        (U^n in a run), with the scheme's scratch T of two products P and
+        lam (A F)h: per level, writes z_n = ||V^n||^2 and q_n = P(z_n) per
+        grid (:meth:`integral`), then delta^n and U^{n+1} = U^n + delta^n.
+        Unchecked: the caller guards z and q.  A law that raises does so after
+        its level's tuple was taken from ``levels``.
 
         A level is one fixed list of numpy calls, for any dimension and number
-        of grids: three for z (those of :meth:`integral`, inlined, as a call
-        per level would add about 8% to a beam level), the law's (two for
-        sqrt(1 + z), one for 1 + z) and six for the update:
+        of grids: three for z and a + b z (those of :meth:`integral`, inlined,
+        as a call per level would add about 8% to a beam level), phi for a
+        named law (one for sqrt, none for the linear and constant laws; an
+        expression law's ``write`` instead) and five for the update:
 
             (q_n, 1) . stack   -> Q - c_n lam^2, Q + c_n lam^2
             (-mu^2, Q - c_n lam^2) * X^n
-                               -> P^n = (-mu^2 U^n, (Q - c_n lam^2) delta^{n-1})
-            (1, 1, 1) . T^n    -> the numerator, into delta^n
-            delta^n / (Q + c_n lam^2),  U^n + delta^n,  A^{-1} D U^{n+1};
+                               -> P = (-mu^2 U^n, (Q - c_n lam^2) delta^{n-1})
+            (1, 1, g_n) . T    -> the numerator, into delta^n
+            delta^n / (Q + c_n lam^2),  U^n + delta^n;
 
-        eleven with the sqrt law.  The scheme's arrays, the law and the ufuncs
-        are bound once per call, each ufunc is called with ``out`` by position
-        (cheaper than an in-place operator) and the products are taken by
-        ``ndarray.dot`` (np.dot's routine without its dispatch)."""
-        gather, factors, (f_i, f_j), z_weights = (
-            self.gather, self.factors, self.factors, self.z_weights
+        nine with the sqrt law, eight with the linear or constant law.  The
+        scheme's arrays, the law and the ufuncs are bound once per call, each
+        ufunc is called with ``out`` by position (cheaper than an in-place
+        operator) and the products are taken by ``ndarray.dot`` (np.dot's
+        routine without its dispatch)."""
+        weights, phi, write = self.product(law)
+        gather, taken, f_i, f_j, products = (
+            self.gather, self.taken, self.f_i, self.f_j, self.products
         )
-        write = law.write
         stack, Q_pm, parts, plus = self.stack, self.Q_pm, self.parts, self.plus
-        ones, AinvD = self.ones, self.AinvD
+        T, P = self.T, self.P
         add, multiply, divide = np.add, np.multiply, np.divide
-        for V, X, P, T, z, q, q1, U, d_next, U_next, V_next in levels:
-            V.take(gather, None, factors, "wrap")
+        for S, X, c, zq, z, q, q1, U, d_next, U_next in levels:
+            S.take(gather, None, taken, "wrap")
             multiply(f_i, f_j, f_i)
-            z_weights.dot(f_i, z)
-            write(z, q)
+            weights.dot(products, zq)
+            if phi is not None:
+                phi(q, q)
+            elif write is not None:
+                write(z, q)
             q1.dot(stack, Q_pm)
             multiply(parts, X, P)
-            ones.dot(T, d_next)
+            c.dot(T, d_next)
             divide(d_next, plus, d_next)
             add(U, d_next, U_next)
-            multiply(AinvD, U_next, V_next)
 
     def squared_energy(self, D: np.ndarray, V: np.ndarray) -> np.ndarray:
         """E^2 per grid (columns) of each window (delta^k, V^k, V^{k+1}),
@@ -493,11 +559,12 @@ def _nodal_scheme(shape: tuple[int, ...], tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _nodal_scheme(grid.shape, tg.tau)
-    z, q = np.empty((2, 1, 1))  # level 0 of one grid
+    record = np.ones(3)  # z_0, q_0 and 1 of one grid
     with np.errstate(all="ignore"):  # a failing q_0 is raised by the guard
-        window, _ = scheme.start(problem, z[0], q[0])
+        U0, U1, _ = scheme.start(problem, record)
+    z, q = record[None, :1], record[None, 1:2]
     damping_mod.check_levels(problem.law, z, q, 0, tg.tau, scheme.grids)
-    (state,) = scheme.states(1, window, q[0])
+    (state,) = scheme.states(1, (U0, U1, scheme.AinvD * U0, scheme.AinvD * U1), q[0])
     return state
 
 
@@ -512,14 +579,17 @@ def step(
     scheme = _nodal_scheme(state.U_curr.shape, tau)
     U_prev, U, V_prev, V = scheme.coefficients(state)
     W = V_prev - scheme.AinvD * U_prev
-    F = scheme.lam * scheme.average([f_n]) - scheme.DA * W
-    X, T, Vs, Z, Q, steps = scheme.history(1)  # level n in row 0 of one grid
-    X[0], T[0, 2], Vs[0] = (U, U - U_prev), F, V
+    X, _, R, steps = scheme.history(1, hooked=False)  # level n of one grid
+    X[0] = U, U - U_prev
+    scheme.T[2] = scheme.lam * scheme.average([f_n]) - scheme.DA * W
+    # z_n is read from the row whose A^{-1} D image is V^n, not from U^n
+    steps[0] = (V / scheme.AinvD,) + steps[0][1:]
     with np.errstate(all="ignore"):  # a failing q_n is raised by the guard
         scheme.advance(law, steps)
-    q = Q[1:, :-1]
-    damping_mod.check_levels(law, Z[1:], q, state.n, tau, scheme.grids)
-    U_next, V_next = X[1, 0], Vs[1]
+    q = R[1:, 1:2]
+    damping_mod.check_levels(law, R[1:, :1], q, state.n, tau, scheme.grids)
+    U_next = X[1, 0]
+    V_next = scheme.AinvD * U_next
     V_next += W
     ((U_new, V_new),) = scheme.nodal(np.stack((U_next, V_next)))
     return StepperState(state.n + 1, state.U_curr, U_new, state.V_curr, V_new, q.item())
@@ -559,30 +629,38 @@ def run_batch(
     """
     tau, N, law = tg.tau, tg.N, problem.law
     scheme = _SineScheme(list(grids), tau)
-    # History of the levels in blocks of `rows` windows (:meth:`_SineScheme.
-    # history`), window i being (D[i], V[i - 1], V[i]): row 0 carries U^n,
-    # delta^{n-1} and V^n in, the step from row i - 1 reads F[i - 1] (staged
-    # at the block's start) and writes z_n and q_n into Z[i] and q[i]; a full
-    # block is checked by one guard.  For the hook, B[i] holds ||f^n||, then
-    # the bound, and E2[i] E_n^2, row 0 carrying the E^2 of the level before
-    # the block.
-    rows = max(2, _BLOCK_COEFFICIENTS // scheme.size)
-    X, T, V, Z, Q, steps = scheme.history(rows)
-    U, D, F = X[:, 0], X[:, 1], T[:, 2]
-    q = Q[:, :-1]
-    E2, B = np.zeros((2, rows + 1, len(grids)))
-    E0, total = np.zeros((2, len(grids)))  # E^0, and sum ||f^j|| before the block
+    G, AinvD = len(grids), scheme.AinvD
+    # The levels in guard blocks of `rows` levels (:meth:`_SineScheme.
+    # history`): rows 1 .. m of R hold z_n and q_n of the block's levels n0 ..
+    # n0 + m - 1, written by the steps from rows 0 .. m - 1; row 0 of X carries
+    # U^n0 and delta^{n0-1} in, and a full block is checked by one guard.  For
+    # the hook, a row of X per level gives the windows (D[i], V^{n0+i-1},
+    # V^{n0+i}) of the energy pass, V = A^{-1} D U formed there; F[i] holds
+    # a sampled lam (A f^n)h of the step from row i (a block whose levels the
+    # forcing map returned as they were is staged: g_n lam (A F)h), B[i]
+    # ||f^n||, then the bound, and E2[i] E_n^2, row 0 carrying the E^2 of the
+    # level before the block.
+    hooked = on_block is not None
+    rows = min(_block_levels(scheme.size, hooked), N + 1)
+    X, C, R, steps = scheme.history(rows, hooked)
+    U, D, Z, q = X[:, 0], X[:, 1], R[:, :G], R[:, G:-1]
+    ring = len(X)  # row j of a block is X[j % ring]
+    if hooked:
+        V, F = np.empty((rows + 1, scheme.size)), np.zeros((rows + 1, scheme.size))
+        E2, B = np.zeros((2, rows + 1, G))
+        E0, total = np.zeros((2, G))  # E^0, and sum ||f^j|| before the block
 
-    def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
+    def close(n0, m, sampled):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
         damping_mod.check_levels(law, Z[1 : m + 1], q[1 : m + 1], n0, tau, grids)
-        if on_block is None:
+        if not hooked:
             return
+        np.multiply(AinvD, U[: m + 1], out=V[: m + 1])
         E2[1 : m + 1] = scheme.squared_energy(D[1 : m + 1], V[: m + 1])
         if n0 == 0:  # level 0: no step before it
             E2[0] = E2[1]
             np.sqrt(E2[1], out=E0)
-        parts = D[: m + 1], F[:m], q[1 : m + 1]
-        defect = scheme.balance(E2[0], E2[1 : m + 1], *parts)
+        f = F[:m] if sampled else C[:m, 2:] * scheme.T[2]  # lam (A f^n)h
+        defect = scheme.balance(E2[0], E2[1 : m + 1], D[: m + 1], f, q[1 : m + 1])
         bound = B[1 : m + 1]  # ||f^n||, 0 at n = 0
         bound[0] += total
         np.cumsum(bound, axis=0, out=bound)
@@ -596,25 +674,26 @@ def run_batch(
     # closes; silence the warnings of the levels after it, thrown away then
     with np.errstate(all="ignore"):
         force = scheme.forcing(problem.f)
-        (_, U[1], V[0], V[1]), D[1] = scheme.start(problem, Z[1], q[1])
+        U[0], U[1], D[1] = scheme.start(problem, R[1])
         D[0] = -D[1]  # level 0: s = f = 0, no defect
         n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1, unguarded
         try:
             while True:
                 m = min(rows, N + 1 - n0)  # the block's levels, in rows 1 .. m
-                # the block's steps read F[i : m] and write rows i + 1 .. m
-                force(n0 + i, F[i:m], None if on_block is None else B[i + 1 : m + 1])
+                # the block's steps, from rows i .. m - 1, write rows i + 1 .. m
                 left = iter(steps[i:m])
+                hook = (B[i + 1 : m + 1], F[i:m]) if hooked else ()
+                block = force(n0 + i, left, C[i:m, 2], *hook)
                 try:
-                    scheme.advance(law, left)
-                except Exception:  # from the law, at the level of the last row taken
+                    scheme.advance(law, block)
+                except Exception:  # from the law or f, at the last level taken
                     i = m - 1 - operator.length_hint(left)
                     raise
                 i = 0  # the guard of close checks rows 1 .. m
-                close(n0, m)
+                close(n0, m, block is not left)
                 if n0 + m > N:
                     break
-                X[0], V[0] = X[m], V[m]
+                X[0] = X[m % ring]
                 n0 += m
         except damping_mod.DampingError:  # from the guard of a closing block
             raise
@@ -623,7 +702,9 @@ def run_batch(
                 levels = Z[1 : i + 1], q[1 : i + 1]
                 damping_mod.check_levels(law, *levels, n0, tau, grids)
             raise
-    return scheme.states(N + 1, (U[m] - D[m], U[m], V[m - 1], V[m]), q[m])
+    U_N, U_last = U[(m - 1) % ring], U[m % ring]  # U^N and U^{N+1}
+    window = U_N, U_last, AinvD * U_N, AinvD * U_last
+    return scheme.states(N + 1, window, q[m])
 
 
 def run(

@@ -701,11 +701,12 @@ def test_stability_bound_breach_exits_with_one_error_line(
     def corrupted(self, f):
         force = forcing(self, f)
 
-        def shifted(n, rows, norms=None):
-            force(n, rows, norms)
+        def shifted(n, levels, g, norms=None, rows=None):
+            levels = force(n, levels, g, norms, rows)  # f is staged: norms are written
             for k, change in ((5, -1e3), (6, 1e3)):
-                if norms is not None and n <= k < n + len(rows):
+                if norms is not None and n <= k < n + len(g):
                     norms[k - n] += change
+            return levels
 
         return shifted
 

@@ -42,8 +42,9 @@ class Mutant:
 
 MUTANTS = [
     Mutant("law at 2z", "damping.py",
-           "np.sqrt(np.add(1.0, z, out), out)",
-           "np.sqrt(np.add(1.0, 2.0 * z, out), out)"),
+           "a=1.0, b=1.0, phi=np.sqrt", "a=1.0, b=2.0, phi=np.sqrt"),
+    Mutant("folded law drops its constant a", "stepper1d.py",
+           "weights[len(self.grids) :, -1] = a", "weights[len(self.grids) :, -1] = 0.0"),
     Mutant("Simpson flip weight 1/2", "stepper1d.py",
            "third = 1.0 / 3.0", "third = 1.0 / 2.0"),
     Mutant("2D cross weight 1/9 -> 1/3", "stepper1d.py",
@@ -55,7 +56,7 @@ MUTANTS = [
     Mutant("stacked Q + c row built as Q - c", "stepper1d.py",
            "(Q, 1.0)]", "(Q, -1.0)]"),
     Mutant("a level's z and q rows shifted by one", "stepper1d.py",
-           "Z[1:], Q[1:, :-1], Q[1:],", "Z[:-1], Q[:-1, :-1], Q[:-1],"),
+           "zq[1:], z[1:], q[1:], q1[1:],", "zq[:-1], z[:-1], q[:-1], q1[:-1],"),
     Mutant("forcing one step late", "stepper1d.py",
            "expr_mod.evaluate(g, t=times)", "expr_mod.evaluate(g, t=times - self.tau)"),
     Mutant("guard's one test without p0", "damping.py",
