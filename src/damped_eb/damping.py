@@ -42,17 +42,18 @@ class DampingError(ValueError):
 class DampingLaw:
     """Scalar law P: [0, inf) -> (0, inf).
 
-    A named law is P = phi(a + b z) (:attr:`fold`), and the steppers form
-    a + b z per grid in the product that sums z, leaving only phi to call;
-    for any other law they call ``func`` once per step on the ndarray of z,
-    one per grid, which may return a scalar that holds for every grid, and
-    a ``func`` that raises on the array (one written for floats, say) is
-    called per grid on floats instead (:meth:`evaluate`).  ``p0`` is the
-    claimed positive lower bound of P and ``lipschitz`` the claimed bound on
-    P'; either may be None when unknown (they are hypotheses of the
-    stability/convergence statements; :func:`validate_law` samples both).
-    The steppers enforce that each z_n = ||V^n||^2 is finite and that each
-    q_n is admissible (:meth:`admits`, :func:`check_levels`).
+    The steppers take every law as P = phi(a + b z): they form a + b z per
+    grid in the product that sums z, then call phi on it in place.  A named
+    law states its formula once, as its :attr:`fold` (a, b, phi); any other
+    law steps as (0, 1, :meth:`evaluate`), which calls ``func`` once per
+    step on the ndarray of z, one per grid (``func`` may return a scalar
+    that holds for every grid), or per grid on floats when that raises (a
+    law written for floats, say).  ``p0`` is the claimed positive lower
+    bound of P and ``lipschitz`` the claimed bound on P'; either may be None
+    when unknown (they are hypotheses of the stability/convergence
+    statements; :func:`validate_law` samples both).  The steppers enforce
+    that each z_n = ||V^n||^2 is finite and that each q_n is admissible
+    (:meth:`admits`, :func:`check_levels`).
     """
 
     name: str
@@ -79,9 +80,10 @@ class DampingLaw:
         return getattr(self.func, "fold", None)
 
     def evaluate(self, z: np.ndarray, out: np.ndarray) -> None:
-        """Write q = P(z) per grid into ``out``: one call of ``func`` on the
-        array z or, when that raises, one per grid on floats, with q = nan
-        where z is non-finite or P undefined (:class:`~damped_eb.expr.DomainError`)."""
+        """Write q = P(z) per grid into ``out``, which may be z itself: one
+        call of ``func`` on the array z or, when that raises, one per grid on
+        floats, with q = nan where z is non-finite or P undefined
+        (:class:`~damped_eb.expr.DomainError`)."""
         try:
             out[...] = self.func(z)
         except Exception:  # a DomainError, or a law that takes floats only
@@ -92,28 +94,30 @@ class DampingLaw:
                     out[k] = math.nan
 
 
-def _named(func, a: float, b: float, phi=None):
-    """``func`` carrying its form phi(a + b z) as ``fold`` (:attr:`DampingLaw.fold`)."""
-    func.fold = (a, b, phi)
-    return func
+def _named(a: float, b: float, phi=None):
+    """P(z) = phi(a + b z) (phi None for the identity), carrying (a, b, phi)
+    as ``fold`` (:attr:`DampingLaw.fold`)."""
+
+    def P(z):
+        return a + b * z if phi is None else phi(a + b * z)
+
+    P.fold = (a, b, phi)
+    return P
 
 
 def constant_law(c: float = 1.0) -> DampingLaw:
     """P = c; raises ValueError unless c is finite and >= 0."""
     if not 0.0 <= c < math.inf:
         raise ValueError(f"constant law needs a finite c >= 0, got {c:g}")
-    P = _named(lambda z: c, a=c, b=0.0)
-    return DampingLaw(f"constant:{c:g}", P, p0=c, lipschitz=0.0)
+    return DampingLaw(f"constant:{c:g}", _named(c, 0.0), p0=c, lipschitz=0.0)
 
 
 def linear_law() -> DampingLaw:
-    P = _named(lambda z: 1.0 + z, a=1.0, b=1.0)
-    return DampingLaw("linear", P, p0=1.0, lipschitz=1.0)
+    return DampingLaw("linear", _named(1.0, 1.0), p0=1.0, lipschitz=1.0)
 
 
 def sqrt_law() -> DampingLaw:
-    P = _named(lambda z: np.sqrt(1.0 + z), a=1.0, b=1.0, phi=np.sqrt)
-    return DampingLaw("sqrt", P, p0=1.0, lipschitz=0.5)
+    return DampingLaw("sqrt", _named(1.0, 1.0, np.sqrt), p0=1.0, lipschitz=0.5)
 
 
 def law_from_spec(spec: str, p0: float | None = None) -> DampingLaw:

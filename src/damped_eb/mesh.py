@@ -166,8 +166,9 @@ def initial(grid: Grid, u, key: str) -> np.ndarray:
     Raises ValueError when u depends on t (an expression that uses t, or a
     callable that reads differently at t = 1 on some node), or when u does
     not vanish on the boundary, which the hinged problem cannot hold: a
-    boundary node reads more than 1e-12 times its largest magnitude on the
-    grid.  The error names the key, the node and the value.
+    boundary node is not finite or reads more than 1e-12 times the largest
+    finite magnitude on the grid.  The error names the key, the node and the
+    value.
     """
     if hasattr(u, "_eval"):  # expression tree
         uses_t = expr_mod.uses_variable(u, "t")
@@ -177,10 +178,11 @@ def initial(grid: Grid, u, key: str) -> np.ndarray:
     if uses_t:
         raise ValueError(f"{key} uses t, but initial data may not depend on t")
     values = evaluate(grid, u, 0.0)
-    edge = np.abs(values)
+    size = np.abs(values)
+    edge = np.where(np.isfinite(size), size, np.inf)
     edge[grid.interior] = 0.0
     k = np.unravel_index(np.argmax(edge), grid.shape)
-    if edge[k] > 1e-12 * np.abs(values).max():
+    if edge[k] > 1e-12 * size.max(where=np.isfinite(size), initial=0.0):
         at = ", ".join(f"{c}={a[i]}" for c, a, i in zip("xy", grid.axes, k))
         raise ValueError(
             f"{key} = {values[k]:.6g} at the boundary node {at}, but initial "

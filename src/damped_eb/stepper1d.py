@@ -53,8 +53,9 @@ list of nine numpy calls (sqrt law; eight with the linear or constant
 law) for any dimension and number of grids: z = ||A^{-1} D U^n||^2 by one
 gather of both factors of every pair from U^n, their product and one
 product with per-grid weight rows (the symbols of A^{-1} D folded in),
-which also writes a + b z for a named law P = phi(a + b z), so only phi
-is left; Q -+ c_n lam^2 by one product of (q_n, 1) with stacked per-grid
+which also writes a + b z for the law P = phi(a + b z) (a law without a
+named form as a = 0, b = 1), so only phi is left; Q -+ c_n lam^2 by one
+product of (q_n, 1) with stacked per-grid
 rows; and the update in five more calls, every array allocated once per
 run.  A forcing f = g(t) F(x[, y]) is staged: F is averaged and
 transformed once per grid, lam (A F)h enters the numerator through the
@@ -75,8 +76,9 @@ for its final states only.  A run keeps nothing whose size grows with N.
 Startup: U^0 samples u0; V^0 = A^{-1} D U^0; delta^0 = tau*u1 +
 (tau^2/2)*u2 with the consistent acceleration
 u2 = -q(0)*u1 - A^{-1} D V^0 + A^{-1} (A f^0), and U^1 = U^0 + delta^0.
-The startup forms (A f^0)h/lam itself, so a staged or sampled forcing
-serves only the steps n >= 1.
+z_0 and q(0) come from the step itself on level 0's rows, whose update
+is then overwritten.  The startup forms (A f^0)h/lam itself, so a staged
+or sampled forcing serves only the steps n >= 1.
 
 The module also carries the discrete energy
 
@@ -150,8 +152,8 @@ class Problem1D:
 
     ``u0``/``u1``/``f`` are expression trees or callables ``(x, t)``;
     u0 and u1 must not depend on t and must vanish on the boundary (to
-    1e-12 of their largest magnitude on the grid), or the startup raises
-    ValueError.  ``dimension`` names the grid the problem lives on (the
+    1e-12 of their largest finite magnitude on the grid), or the startup
+    raises ValueError.  ``dimension`` names the grid the problem lives on (the
     plate subclass sets 2).
     """
 
@@ -203,12 +205,12 @@ class _SineScheme:
     meet the coefficients only through weight matrices built once, so one
     path serves any number of grids.  :meth:`advance` steps through a
     block of levels: per level it takes z_n = ||V^n||^2 from U^n (V^n =
-    A^{-1} D U^n, module docstring) and q_n = P(z_n), then writes delta^n
-    by the increment form of the recurrence on U from U^n, the increment
-    delta^{n-1} = U^n - U^{n-1}, q_n and f^n, and U^{n+1} = U^n + delta^n,
-    in nine numpy calls with the sqrt law.  A step writes only into arrays
-    allocated once, with the scheme or the run (:meth:`history`);
-    transforms run per grid, only at the ends of a run.
+    A^{-1} D U^n, module docstring) and q_n = P(z_n) (:meth:`product`),
+    then writes delta^n by the increment form of the recurrence on U from
+    U^n, the increment delta^{n-1} = U^n - U^{n-1}, q_n and f^n, and
+    U^{n+1} = U^n + delta^n, in nine numpy calls with the sqrt law.  A step
+    writes only into arrays allocated once, with the scheme or the run
+    (:meth:`history`); transforms run per grid, only at the ends of a run.
     """
 
     def __init__(self, grids: list[Grid], tau: float) -> None:
@@ -251,10 +253,9 @@ class _SineScheme:
         copies = [[np.arange(x.size).reshape(x.shape) for x in lams]]
         for axis in range(-1, -1 - len(self.shapes[0]), -1):
             copies += [[np.flip(i, axis) for i in copy] for copy in copies]
+        # copy c is flipped along the axes of c's set bits (bit 0 the last)
         third = 1.0 / 3.0  # Simpson's weight of a flipped axis
-        flip_weights = [1.0, third]
-        if len(copies) == 4:  # flipped along the last axis, the first, both
-            flip_weights = [1.0, third, third, third * third]
+        flip_weights = [third ** bin(c).count("1") for c in range(len(copies))]
         diagonal = np.zeros(lam.size)
         i, j, M = [k], [k], [diagonal]
         for copy, w in zip(copies, flip_weights):
@@ -347,35 +348,21 @@ class _SineScheme:
         return [StepperState(n, *f, q_i) for f, q_i in zip(fields, q.tolist())]
 
     def product(self, law: DampingLaw):
-        """(weights, phi, write): z's product for ``law`` and what is left of
-        the law after it.  ``weights.dot`` of the pair products and the
-        constant 1 after them writes (z, a + b z) per grid for a named law
-        P = phi(a + b z) (:attr:`damped_eb.damping.DampingLaw.fold`), then
-        phi (None for the identity) writes q from a + b z; for any other law
-        it writes (z, 0) and ``write`` (:meth:`DampingLaw.evaluate`) writes
-        q = P(z)."""
-        a, b, phi = law.fold or (0.0, 0.0, None)
+        """(weights, phi): z's product for ``law``, P = phi(a + b z), and what
+        is left of the law after it.  ``weights.dot`` of the pair products
+        and the constant 1 after them writes (z, a + b z) per grid, then phi
+        (None for the identity) writes q over a + b z, in place.  (a, b, phi)
+        is a named law's :attr:`damped_eb.damping.DampingLaw.fold` and any
+        other law's (0, 1, :meth:`DampingLaw.evaluate`), whose a + b z is z
+        as the second half of the rows sums it (BLAS may round it apart from
+        the first half's z in the last bit)."""
+        a, b, phi = law.fold or (0.0, 1.0, law.evaluate)
         weights = self._weights.get((a, b))
         if weights is None:
             weights = np.vstack((self.z_weights, b * self.z_weights))
             weights[len(self.grids) :, -1] = a
             self._weights[a, b] = weights
-        return weights, phi, None if law.fold else law.evaluate
-
-    def integral(self, U: np.ndarray, law: DampingLaw, out: np.ndarray) -> None:
-        """Writes z = ||A^{-1} D U||^2 and q = P(z) per grid into a row ``out``
-        of R (:meth:`history`): the first calls of a level of :meth:`advance`."""
-        weights, phi, write = self.product(law)
-        g = len(self.grids)
-        z, q = out[:g], out[g : 2 * g]
-        # (mode="raise" would buffer the gather; the index is valid)
-        U.take(self.gather, None, self.taken, "wrap")
-        np.multiply(self.f_i, self.f_j, self.f_i)
-        weights.dot(self.products, out[: 2 * g])
-        if phi is not None:
-            phi(q, q)
-        elif write is not None:
-            write(z, q)
+        return weights, phi
 
     def history(self, levels: int, hooked: bool):
         """The rows of a guard block of ``levels`` levels and the tuples of
@@ -397,8 +384,8 @@ class _SineScheme:
             return [views[k % len(views)] for k in range(rows)]
 
         U, D, Xs = map(ring, (X[:, 0], X[:, 1], X))
-        zq, z, q, q1 = map(list, (R[:, : 2 * g], R[:, :g], R[:, g:-1], R[:, g:]))
-        columns = U, Xs, list(C), zq[1:], z[1:], q[1:], q1[1:], U, D[1:], U[1:]
+        zq, q, q1 = map(list, (R[:, : 2 * g], R[:, g:-1], R[:, g:]))
+        columns = U, Xs, list(C), zq[1:], q[1:], q1[1:], U, D[1:], U[1:]
         return X, C, R, list(zip(*columns))
 
     def forcing(self, f):
@@ -407,8 +394,10 @@ class _SineScheme:
         of :meth:`advance`) as g[k] times T's last row, and returns the levels
         to step (``levels`` itself where f is staged).  A hooked run also
         passes ``norms`` and ``rows``, and gets ||f^{n+k}|| per grid
-        (:meth:`sample`) in norms[k] (:meth:`start` samples f^0 itself) and,
-        where f is sampled, T's last row of level k in rows[k].
+        (:meth:`sample`) in norms[k] (:meth:`start` samples f^0 itself) and
+        lam (A f^{n+k})h in rows[k]: g[k] lam (A F)h where f is staged, T's
+        last row of level k where it is sampled.  So only this map knows
+        which.
 
         An expression g(t) * F(x[, y]) (:func:`damped_eb.expr.split_time`) is
         staged: F is sampled and averaged once, lam (A F)h written into T
@@ -442,6 +431,7 @@ class _SineScheme:
                     if norms is not None:
                         np.multiply(g_n[:, None], F_norms, out=norms)
                         np.abs(norms, out=norms)
+                        np.multiply(g_n[:, None], T[2], out=rows)
                     return levels
             g_n[...] = 1.0
             return sampled(levels, times, norms, rows)
@@ -463,39 +453,40 @@ class _SineScheme:
         u = getattr(problem, key)
         return self.sine([mesh.initial(g, u, key)[g.interior] for g in self.grids])
 
-    def start(self, problem, record: np.ndarray):
-        """Startup at n = 1: (U^0, U^1, delta^0) with delta^0 = tau u1 +
-        (tau^2/2) u2, u2 = -q_0 u1 - A^{-1} D V^0 + A^{-1} (A f^0) (each sampled
-        at t = 0; z_0 and q_0 per grid written, unchecked, into ``record``, a
-        row of R (:meth:`history`)).  Raises ValueError on initial data
-        :meth:`initial` rejects."""
-        tau, g = self.tau, len(self.grids)
+    def start(self, problem, level) -> None:
+        """Startup at n = 1 on ``level``, the tuple of rows of level 0
+        (:meth:`advance`): writes U^0 into its U^n, z_0 and q_0 per grid by
+        :meth:`advance` on it (unchecked), then delta^0 = tau u1 + (tau^2/2) u2,
+        u2 = -q_0 u1 - A^{-1} D V^0 + A^{-1} (A f^0) (each sampled at t = 0),
+        and U^1 = U^0 + delta^0 over that step's delta^n and U^{n+1}.  Raises
+        ValueError on initial data :meth:`initial` rejects."""
+        tau = self.tau
+        q0, _, U0, d_next, U1 = level[4:]  # q_0, U^0, delta^0, U^1
         Af_hat, _ = self.sample(problem.f, 0.0)
-        U0 = self.initial(problem, "u0")
-        self.integral(U0, problem.law, record)
-        q0 = record[g : 2 * g]
+        U0[...] = self.initial(problem, "u0")
+        self.advance(problem.law, [level])
         bilap = self.AinvD * (self.AinvD * U0)
         u1 = self.initial(problem, "u1")
         u2 = -q0[self.owner] * u1 - bilap + Af_hat / self.lam
-        d = tau * u1 + 0.5 * tau * tau * u2
-        return U0, U0 + d, d
+        d_next[...] = tau * u1 + 0.5 * tau * tau * u2
+        np.add(U0, d_next, U1)
 
     def advance(self, law, levels) -> None:
         """Steps through ``levels``, an iterable of one tuple of rows
-        (S^n, X^n, c_n, (z_n, q_n), z_n, q_n, (q_n, 1), U^n, delta^n, U^{n+1})
-        per level (:meth:`history`), X^n holding (U^n, delta^{n-1}), c_n the
+        (S^n, X^n, c_n, (z_n, q_n), q_n, (q_n, 1), U^n, delta^n, U^{n+1}) per
+        level (:meth:`history`), X^n holding (U^n, delta^{n-1}), c_n the
         coefficient row (1, 1, g_n) and S^n the row whose A^{-1} D image is V^n
         (U^n in a run), with the scheme's scratch T of two products P and
         lam (A F)h: per level, writes z_n = ||V^n||^2 and q_n = P(z_n) per
-        grid (:meth:`integral`), then delta^n and U^{n+1} = U^n + delta^n.
-        Unchecked: the caller guards z and q.  A law that raises does so after
-        its level's tuple was taken from ``levels``.
+        grid, then delta^n and U^{n+1} = U^n + delta^n.  This is the one code
+        that forms z and q: for a run, its startup (:meth:`start`) and the
+        nodal :func:`step`.  Unchecked: the caller guards z and q.  A law that
+        raises does so after its level's tuple was taken from ``levels``.
 
         A level is one fixed list of numpy calls, for any dimension and number
-        of grids: three for z and a + b z (those of :meth:`integral`, inlined,
-        as a call per level would add about 8% to a beam level), phi for a
-        named law (one for sqrt, none for the linear and constant laws; an
-        expression law's ``write`` instead) and five for the update:
+        of grids: three for z and a + b z (:meth:`product`), phi for what is
+        left of the law (one for sqrt, none for the linear and constant laws;
+        :meth:`DampingLaw.evaluate` for any other law) and five for the update:
 
             (q_n, 1) . stack   -> Q - c_n lam^2, Q + c_n lam^2
             (-mu^2, Q - c_n lam^2) * X^n
@@ -508,21 +499,20 @@ class _SineScheme:
         ufunc is called with ``out`` by position (cheaper than an in-place
         operator) and the products are taken by ``ndarray.dot`` (np.dot's
         routine without its dispatch)."""
-        weights, phi, write = self.product(law)
+        weights, phi = self.product(law)
         gather, taken, f_i, f_j, products = (
             self.gather, self.taken, self.f_i, self.f_j, self.products
         )
         stack, Q_pm, parts, plus = self.stack, self.Q_pm, self.parts, self.plus
         T, P = self.T, self.P
         add, multiply, divide = np.add, np.multiply, np.divide
-        for S, X, c, zq, z, q, q1, U, d_next, U_next in levels:
+        for S, X, c, zq, q, q1, U, d_next, U_next in levels:
+            # (mode="raise" would buffer the gather; the index is valid)
             S.take(gather, None, taken, "wrap")
             multiply(f_i, f_j, f_i)
             weights.dot(products, zq)
             if phi is not None:
                 phi(q, q)
-            elif write is not None:
-                write(z, q)
             q1.dot(stack, Q_pm)
             multiply(parts, X, P)
             c.dot(T, d_next)
@@ -559,13 +549,13 @@ def _nodal_scheme(shape: tuple[int, ...], tau: float) -> _SineScheme:
 def init(problem, grid: Grid, tg: TimeGrid) -> StepperState:
     """Startup levels (U^0, U^1, V^0, V^1); the state sits at n = 1."""
     scheme = _nodal_scheme(grid.shape, tg.tau)
-    record = np.ones(3)  # z_0, q_0 and 1 of one grid
+    X, _, R, steps = scheme.history(1, hooked=False)  # level 0 of one grid
     with np.errstate(all="ignore"):  # a failing q_0 is raised by the guard
-        U0, U1, _ = scheme.start(problem, record)
-    z, q = record[None, :1], record[None, 1:2]
-    damping_mod.check_levels(problem.law, z, q, 0, tg.tau, scheme.grids)
-    (state,) = scheme.states(1, (U0, U1, scheme.AinvD * U0, scheme.AinvD * U1), q[0])
-    return state
+        scheme.start(problem, steps[0])
+    q = R[1:, 1:2]
+    damping_mod.check_levels(problem.law, R[1:, :1], q, 0, tg.tau, scheme.grids)
+    U = X[:, 0]  # U^0, U^1
+    return scheme.states(1, (*U, *(scheme.AinvD * U)), q[0])[0]
 
 
 def step(
@@ -635,11 +625,10 @@ def run_batch(
     # n0 + m - 1, written by the steps from rows 0 .. m - 1; row 0 of X carries
     # U^n0 and delta^{n0-1} in, and a full block is checked by one guard.  For
     # the hook, a row of X per level gives the windows (D[i], V^{n0+i-1},
-    # V^{n0+i}) of the energy pass, V = A^{-1} D U formed there; F[i] holds
-    # a sampled lam (A f^n)h of the step from row i (a block whose levels the
-    # forcing map returned as they were is staged: g_n lam (A F)h), B[i]
-    # ||f^n||, then the bound, and E2[i] E_n^2, row 0 carrying the E^2 of the
-    # level before the block.
+    # V^{n0+i}) of the energy pass, V = A^{-1} D U formed there; the forcing
+    # map writes lam (A f^n)h of the step from row i into F[i] and ||f^n||
+    # into B[i], then the bound, and E2[i] holds E_n^2, row 0 carrying the E^2
+    # of the level before the block.
     hooked = on_block is not None
     rows = min(_block_levels(scheme.size, hooked), N + 1)
     X, C, R, steps = scheme.history(rows, hooked)
@@ -650,7 +639,7 @@ def run_batch(
         E2, B = np.zeros((2, rows + 1, G))
         E0, total = np.zeros((2, G))  # E^0, and sum ||f^j|| before the block
 
-    def close(n0, m, sampled):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
+    def close(n0, m):  # the block of levels n0 .. n0 + m - 1, in rows 1 .. m
         damping_mod.check_levels(law, Z[1 : m + 1], q[1 : m + 1], n0, tau, grids)
         if not hooked:
             return
@@ -659,8 +648,7 @@ def run_batch(
         if n0 == 0:  # level 0: no step before it
             E2[0] = E2[1]
             np.sqrt(E2[1], out=E0)
-        f = F[:m] if sampled else C[:m, 2:] * scheme.T[2]  # lam (A f^n)h
-        defect = scheme.balance(E2[0], E2[1 : m + 1], D[: m + 1], f, q[1 : m + 1])
+        defect = scheme.balance(E2[0], E2[1 : m + 1], D[: m + 1], F[:m], q[1 : m + 1])
         bound = B[1 : m + 1]  # ||f^n||, 0 at n = 0
         bound[0] += total
         np.cumsum(bound, axis=0, out=bound)
@@ -674,7 +662,7 @@ def run_batch(
     # closes; silence the warnings of the levels after it, thrown away then
     with np.errstate(all="ignore"):
         force = scheme.forcing(problem.f)
-        U[0], U[1], D[1] = scheme.start(problem, R[1])
+        scheme.start(problem, steps[0])
         D[0] = -D[1]  # level 0: s = f = 0, no defect
         n0, i = 0, 1  # rows 1 .. i hold the levels n0 .. n0 + i - 1, unguarded
         try:
@@ -690,7 +678,7 @@ def run_batch(
                     i = m - 1 - operator.length_hint(left)
                     raise
                 i = 0  # the guard of close checks rows 1 .. m
-                close(n0, m, block is not left)
+                close(n0, m)
                 if n0 + m > N:
                     break
                 X[0] = X[m % ring]
@@ -702,9 +690,8 @@ def run_batch(
                 levels = Z[1 : i + 1], q[1 : i + 1]
                 damping_mod.check_levels(law, *levels, n0, tau, grids)
             raise
-    U_N, U_last = U[(m - 1) % ring], U[m % ring]  # U^N and U^{N+1}
-    window = U_N, U_last, AinvD * U_N, AinvD * U_last
-    return scheme.states(N + 1, window, q[m])
+    U_ends = U[[(m - 1) % ring, m % ring]]  # U^N and U^{N+1}
+    return scheme.states(N + 1, (*U_ends, *(AinvD * U_ends)), q[m])
 
 
 def run(

@@ -462,9 +462,9 @@ def test_run_batch_advances_once_per_block(grids, monkeypatch):
         tg = TimeGrid(3 * rows + 1, 1.0)
         problem = forced_batch(len(grids[0].shape))
         run_batch(problem, grids, tg, Blocks() if hooked else None)
-        # levels 1 .. rows - 1 (the startup writes level 0), two full blocks,
-        # and the last two levels
-        assert calls == [rows - 1, rows, rows, 2]
+        # the startup's level 0, levels 1 .. rows - 1, two full blocks, and
+        # the last two levels
+        assert calls == [1, rows - 1, rows, rows, 2]
 
 
 def test_run_executes_n_steps_and_records():
@@ -695,10 +695,20 @@ def test_batch_damping_integrals_match_simpson_norms(dim):
     ]
     scheme = _SineScheme(grids, 0.1)
     V = scheme.sine([u[g.interior] for u, g in zip(fields, grids)])
-    record = np.ones(2 * len(grids) + 1)
-    scheme.integral(V / scheme.AinvD, damping.sqrt_law(), record)  # read from U
+    z, _ = advanced_z_and_q(scheme, V / scheme.AinvD, damping.sqrt_law())
     norms = [mesh.norm(g, u, kind) ** 2 for g, u in zip(grids, fields)]
-    assert record[: len(grids)] == pytest.approx(norms, rel=1e-13)
+    assert z == pytest.approx(norms, rel=1e-13)
+
+
+def advanced_z_and_q(scheme, U, law):
+    """z_n and q_n per grid that ``advance`` writes from U^n = U on one
+    level's rows (the tuple of row 0 of ``history``)."""
+    X, _, R, steps = scheme.history(1, hooked=False)
+    X[0, 0] = U
+    with np.errstate(all="ignore"):  # the level's update is not looked at
+        scheme.advance(law, steps[:1])
+    G = len(scheme.grids)
+    return R[1, :G].copy(), R[1, G : 2 * G].copy()
 
 
 def forced_batch(dim, f="t^3*sin(pi*x)", law=None):
@@ -775,12 +785,11 @@ def test_folded_law_writes_q_through_the_product(name, law, data):
         strategies.lists(strategies.floats(0.0, 1e12), min_size=G, max_size=G)
     )
     first = [block.start for block in scheme.blocks]
-    U, record = np.zeros(scheme.size), np.ones(2 * G + 1)
+    U = np.zeros(scheme.size)
     U[first] = 1.0
-    scheme.integral(U, law, record)
-    U[first] = np.sqrt(np.array(targets) / record[:G])
-    scheme.integral(U, law, record)
-    z, q = record[:G], record[G : 2 * G]
+    unit, _ = advanced_z_and_q(scheme, U, law)
+    U[first] = np.sqrt(np.array(targets) / unit)
+    z, q = advanced_z_and_q(scheme, U, law)
     assert z == pytest.approx(targets, rel=1e-14, abs=1e-300)
     expected = law.func(z) + 0.0 * z  # a constant law returns a float
     assert np.all(np.abs(q - expected) <= 2.0 * np.spacing(expected))
@@ -1152,6 +1161,18 @@ def test_callable_initial_data_that_depend_on_t_are_rejected(key):
     assert np.array_equal(a.U_curr, b.U_curr)
 
 
+def sine_except(values):
+    """The callable datum sin(pi x), but ``values[x]`` at the nodes x named."""
+
+    def u(x, t):
+        out = np.sin(np.pi * x)
+        for at, value in values.items():
+            out[x == at] = value
+        return out
+
+    return u
+
+
 @pytest.mark.parametrize(
     "key,u,grid,node",
     [
@@ -1159,8 +1180,17 @@ def test_callable_initial_data_that_depend_on_t_are_rejected(key):
         ("u0", lambda x, t: x, Grid1D(4), "u0 = 1 at the boundary node x=1.0"),
         ("u1", expr.parse("x*y"), Grid2D(4, 4),
          "u1 = 1 at the boundary node x=1.0, y=1.0"),
+        # a non-finite boundary value never vanishes, and no non-finite value
+        # sets the tolerance
+        ("u0", sine_except({1.0: np.nan}), Grid1D(4),
+         "u0 = nan at the boundary node x=1.0"),
+        ("u0", sine_except({1.0: np.inf}), Grid1D(4),
+         "u0 = inf at the boundary node x=1.0"),
+        ("u0", sine_except({0.5: np.inf, 1.0: 1.0}), Grid1D(4),
+         "u0 = 1 at the boundary node x=1.0"),
     ],
-    ids=["1d-u0", "1d-u0-callable", "2d-u1"],
+    ids=["1d-u0", "1d-u0-callable", "2d-u1", "1d-u0-nan-edge", "1d-u0-inf-edge",
+         "1d-u0-next-to-inf"],
 )
 def test_initial_data_that_do_not_vanish_on_the_boundary_are_rejected(
     key, u, grid, node

@@ -42,13 +42,15 @@ class Mutant:
 
 MUTANTS = [
     Mutant("law at 2z", "damping.py",
-           "a=1.0, b=1.0, phi=np.sqrt", "a=1.0, b=2.0, phi=np.sqrt"),
+           "_named(1.0, 1.0, np.sqrt)", "_named(1.0, 2.0, np.sqrt)"),
     Mutant("folded law drops its constant a", "stepper1d.py",
            "weights[len(self.grids) :, -1] = a", "weights[len(self.grids) :, -1] = 0.0"),
+    Mutant("a law without a fold reads phi(0 z)", "stepper1d.py",
+           "(0.0, 1.0, law.evaluate)", "(0.0, 0.0, law.evaluate)"),
     Mutant("Simpson flip weight 1/2", "stepper1d.py",
            "third = 1.0 / 3.0", "third = 1.0 / 2.0"),
     Mutant("2D cross weight 1/9 -> 1/3", "stepper1d.py",
-           "third, third, third * third]", "third, third, third]"),
+           'third ** bin(c).count("1")', 'third ** min(1, bin(c).count("1"))'),
     Mutant("startup tau^2 for tau^2/2", "stepper1d.py",
            "0.5 * tau * tau * u2", "tau * tau * u2"),
     Mutant("sign of Q - c_n lam^2", "stepper1d.py",
@@ -56,7 +58,7 @@ MUTANTS = [
     Mutant("stacked Q + c row built as Q - c", "stepper1d.py",
            "(Q, 1.0)]", "(Q, -1.0)]"),
     Mutant("a level's z and q rows shifted by one", "stepper1d.py",
-           "zq[1:], z[1:], q[1:], q1[1:],", "zq[:-1], z[:-1], q[:-1], q1[:-1],"),
+           "zq[1:], q[1:], q1[1:],", "zq[:-1], q[:-1], q1[:-1],"),
     Mutant("forcing one step late", "stepper1d.py",
            "expr_mod.evaluate(g, t=times)", "expr_mod.evaluate(g, t=times - self.tau)"),
     Mutant("guard's one test without p0", "damping.py",
@@ -82,8 +84,10 @@ MUTANTS = [
            "scheme.balance(E2[0], E2[1 : m + 1]", "scheme.balance(E2[1], E2[1 : m + 1]"),
     Mutant("bound predicate lets a NaN energy pass", "stepper1d.py",
            "np.nonzero(~(E <= bound + slack))", "np.nonzero(E > bound + slack)"),
+    Mutant("startup keeps level 0's own step", "stepper1d.py",
+           "np.add(U0, d_next, U1)", "None"),
     Mutant("startup drops tau u1", "stepper1d.py",
-           "d = tau * u1 +", "d = 0.0 * u1 +"),
+           "d_next[...] = tau * u1 +", "d_next[...] = 0.0 * u1 +"),
     Mutant("sign of q_0 u1 in u2", "stepper1d.py",
            "u2 = -q0[self.owner] * u1", "u2 = q0[self.owner] * u1"),
     Mutant("startup drops f^0", "stepper1d.py",
